@@ -344,6 +344,13 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
         raise FormatError("block geometry mismatch in header")
     if not (delta > 0 and np.isfinite(delta)):
         raise FormatError("bad delta in header")
+    # Cross-check every symbol count before the decoder allocates for it:
+    # a block holds at most min(N_b, 2M) independent atoms, and the index
+    # stream is K atom symbols plus Q - 1 block separators.
+    if k > q * min(block_size, 2 * half_size):
+        raise FormatError(f"total_atoms {k} exceeds what {q} blocks can hold")
+    if records[0].symbol_count != k + q - 1:
+        raise FormatError("index stream symbol count disagrees with total_atoms")
     for r in records[1 : 1 + 2 * channels]:
         if r.symbol_count != k:
             raise FormatError("stream symbol counts disagree with total_atoms")

@@ -41,6 +41,8 @@ class TrigDictionary:
         # Phase rotation that turns FFT bins into half-sample trig sums.
         k = np.arange(half_size + 1)
         self._rot = np.exp(-1j * np.pi * k / (2 * half_size))
+        # 2i - 1 for samples i = 1..N_b: the atoms' half-sample phase steps
+        self._odd = 2 * np.arange(1, block_size + 1) - 1
 
     @staticmethod
     def _cos_norms(nb: int, m: int) -> np.ndarray:
@@ -81,22 +83,31 @@ class TrigDictionary:
         m = self.half_size
         if idx.size and (idx.min() < 1 or idx.max() > 2 * m):
             raise ValueError(f"atom index out of range 1..{2 * m}")
-        i = np.arange(1, self.block_size + 1)
         out = np.empty((idx.size, self.block_size))
         is_cos = idx <= m
         nc = idx[is_cos]
         ns = idx[~is_cos] - m
         if nc.size:
-            ang = np.pi * np.outer(nc - 1, 2 * i - 1) / (2 * m)
+            ang = np.pi * np.outer(nc - 1, self._odd) / (2 * m)
             out[is_cos] = np.cos(ang) / self.w_cos[nc - 1][:, None]
         if ns.size:
-            ang = np.pi * np.outer(ns, 2 * i - 1) / (2 * m)
+            ang = np.pi * np.outer(ns, self._odd) / (2 * m)
             out[~is_cos] = np.sin(ang) / self.w_sin[ns - 1][:, None]
         return out
 
     def atom(self, n: int) -> np.ndarray:
-        """Return atom ``n`` (1-based) as a unit-norm vector."""
-        return self.atoms_matrix([n])[0]
+        """Return atom ``n`` (1-based) as a unit-norm vector.
+
+        Same arithmetic as one row of :meth:`atoms_matrix`, so the two
+        agree bit for bit.
+        """
+        n = int(n)
+        m = self.half_size
+        if not 1 <= n <= 2 * m:
+            raise ValueError(f"atom index out of range 1..{2 * m}")
+        if n <= m:
+            return np.cos(np.pi * ((n - 1) * self._odd) / (2 * m)) / self.w_cos[n - 1]
+        return np.sin(np.pi * ((n - m) * self._odd) / (2 * m)) / self.w_sin[n - m - 1]
 
     def all_inner_products(self, y) -> np.ndarray:
         """Inner products of ``y`` against all ``2M`` atoms.

@@ -169,11 +169,15 @@ class _RangeDecoder:
             self.range <<= 8
 
 
-def _validate(symbols: np.ndarray, alphabet_bound: int):
+def _check_bound(alphabet_bound: int):
     if alphabet_bound < 1:
         raise ValueError("alphabet_bound must be >= 1")
     if alphabet_bound > _MAX_BOUND:
         raise ValueError("alphabet_bound exceeds the supported symbol range")
+
+
+def _validate(symbols: np.ndarray, alphabet_bound: int):
+    _check_bound(alphabet_bound)
     if symbols.size >= 1 << 32:
         raise ValueError("stream too long")
     if symbols.size:
@@ -220,8 +224,7 @@ def arith_encode(stream: SymbolStream) -> bytes:
 def arith_decode(data: bytes, length: int, alphabet_bound: int) -> SymbolStream:
     """Exact inverse of :func:`arith_encode` for ``length`` symbols."""
     bound = int(alphabet_bound)
-    if bound < 1:
-        raise ValueError("alphabet_bound must be >= 1")
+    _check_bound(bound)
     if length < 0:
         raise ValueError("negative length")
     if length == 0:

@@ -4,10 +4,17 @@ All channels of a block share one set of selected atoms with per-channel
 coefficients.  Within a block, candidate atoms are picked by one of three
 selection criteria; across blocks, each step upgrades the single block
 whose candidate yields the largest drop of the total residual energy
-(the hierarchized block-wise strategy).  The selected subspace is tracked
-by an orthogonal set (Gram-Schmidt with re-orthogonalization) together
-with its biorthogonal dual, from which the decomposition coefficients are
-read off directly.
+(the hierarchized block-wise strategy).  Every block keeps its
+candidate's gain, and the loop keeps those gains in one vector, so
+ranking is one ``argmax`` and a step rewrites a single entry.
+
+The selected subspace of a block is tracked by Gram-Schmidt with
+re-orthogonalization: the orthonormal vectors are the rows of ``w`` and
+the triangular factor ``r[i, k] = <w_i, d_k>`` of the selected atoms
+``d_k`` sits beside it, both in arrays that double in capacity as atoms
+arrive.  The biorthogonal dual ``r^-1 w`` is never updated per step;
+the coefficients solve ``r c = w f`` once per finished block, and the
+dual itself is only derived on request (``BlockState.bior``).
 
 Inner products against every dictionary atom are cached per channel as a
 full panel and updated incrementally on each acceptance; panels are
@@ -43,6 +50,7 @@ __all__ = [
 DEPENDENCY_FLOOR = 1e-10   # atoms with 1 - S_n at or below this are in-span
 ORTHO_TOL = 1e-10
 REFRESH_INTERVAL = 32
+INITIAL_CAPACITY = 8       # rows of ``w`` before the first doubling
 
 
 class SelectionCriterion(Enum):
@@ -72,20 +80,36 @@ class BlockState:
     block: np.ndarray                 # (N_b, L) original samples
     residual: np.ndarray              # (N_b, L)
     res_ip: np.ndarray                # (2M, L) atom/residual inner products
-    s_sums: np.ndarray                # (2M,) accumulated |<d_n, w~_i>|^2
+    s_sums: np.ndarray                # (2M,) accumulated |<d_n, w_i>|^2
     criterion: SelectionCriterion
     selected: list[int] = field(default_factory=list)
-    ortho: list[np.ndarray] = field(default_factory=list)      # unit w~ vectors
-    bior: list[np.ndarray] = field(default_factory=list)
-    proj_coefs: list[np.ndarray] = field(default_factory=list)  # <w~_i, f_j>
+    w: np.ndarray = None              # (capacity, N_b), rows :k orthonormal
+    r: np.ndarray = None              # (capacity, capacity), r[i, k] = <w_i, d_k>
     blocked: np.ndarray = None        # selected or numerically dependent
     candidate: tuple[int, float] | None = None
+    gain: float = -np.inf             # candidate's gain; -inf if none/saturated
     saturated: bool = False
     accepted: int = 0
+
+    def __post_init__(self):
+        if self.w is None:
+            self.w = np.empty((0, self.block.shape[0]))
+            self.r = np.zeros((0, 0))
 
     @property
     def atom_count(self) -> int:
         return len(self.selected)
+
+    @property
+    def ortho(self) -> np.ndarray:
+        """Orthonormal basis of the selected atoms' span, one row each."""
+        return self.w[: len(self.selected)]
+
+    @property
+    def bior(self) -> np.ndarray:
+        """Biorthogonal dual of the selected atoms, ``r^-1 w``, one row each."""
+        k = len(self.selected)
+        return np.linalg.solve(self.r[:k, :k], self.w[:k])
 
 
 @dataclass
@@ -99,9 +123,17 @@ class PursuitResult:
 
 
 def _panel(dico: TrigDictionary, channels: np.ndarray) -> np.ndarray:
-    return np.column_stack(
-        [dico.all_inner_products(channels[:, j]) for j in range(channels.shape[1])]
-    )
+    """``(2M, L)`` inner products, column-major so each channel is contiguous."""
+    out = np.empty((dico.num_atoms, channels.shape[1]), order="F")
+    for j in range(channels.shape[1]):
+        out[:, j] = dico.all_inner_products(channels[:, j])
+    return out
+
+
+def _subtract_outer(target: np.ndarray, u: np.ndarray, coefs: np.ndarray) -> None:
+    """``target -= outer(u, coefs)``, one channel column at a time."""
+    for j, c in enumerate(coefs):
+        target[:, j] -= u * c
 
 
 def _as_block(block) -> np.ndarray:
@@ -109,6 +141,11 @@ def _as_block(block) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr[:, None]
     return arr
+
+
+def _max_atoms(dico: TrigDictionary) -> int:
+    """Rank of the dictionary: no block can hold more independent atoms."""
+    return min(dico.block_size, dico.num_atoms)
 
 
 def init_block_state(
@@ -121,7 +158,7 @@ def init_block_state(
     state = BlockState(
         block=block,
         residual=block.copy(),
-        res_ip=np.zeros((n_atoms, block.shape[1])),
+        res_ip=np.zeros((n_atoms, block.shape[1]), order="F"),
         s_sums=np.zeros(n_atoms),
         criterion=criterion,
         blocked=np.zeros(n_atoms, dtype=bool),
@@ -135,10 +172,16 @@ def init_block_state(
     return state
 
 
+def _saturate(state: BlockState) -> None:
+    state.candidate = None
+    state.gain = -np.inf
+    state.saturated = True
+
+
 def select_candidate(
     state: BlockState, dico: TrigDictionary, criterion: SelectionCriterion
 ) -> None:
-    """Refresh the block's candidate atom under ``criterion``.
+    """Refresh the block's candidate atom and its gain under ``criterion``.
 
     The candidate's ranking gain is the residual-energy drop its
     acceptance would realize, which is the quantity the block ranker
@@ -146,47 +189,51 @@ def select_candidate(
     """
     if state.saturated:
         return
-    cap = min(dico.block_size, dico.num_atoms)
-    if len(state.selected) >= cap:
-        state.candidate = None
-        state.saturated = True
+    if len(state.selected) >= _max_atoms(dico):
+        _saturate(state)
         return
     denom = 1.0 - state.s_sums
-    dependent = ~state.blocked & (denom <= DEPENDENCY_FLOOR)
-    if dependent.any():
-        state.blocked |= dependent
+    state.blocked |= denom <= DEPENDENCY_FLOOR
     available = ~state.blocked
-    if not available.any():
-        state.candidate = None
-        state.saturated = True
-        return
     sq = np.einsum("nj,nj->n", state.res_ip, state.res_ip)
     scores = np.full(sq.shape, -np.inf)
     if criterion is SelectionCriterion.SOMP:
-        scores[available] = np.abs(state.res_ip[available]).sum(axis=1)
+        np.copyto(scores, np.abs(state.res_ip).sum(axis=1), where=available)
     elif criterion is SelectionCriterion.MMV_OMP:
-        scores[available] = sq[available]
+        np.copyto(scores, sq, where=available)
     else:
-        scores[available] = sq[available] / denom[available]
+        np.divide(sq, denom, out=scores, where=available)
     n0 = int(np.argmax(scores))   # first max: smallest index wins ties
-    state.candidate = (n0 + 1, float(sq[n0] / denom[n0]))
+    if scores[n0] == -np.inf:     # every atom selected or dependent
+        _saturate(state)
+        return
+    state.gain = float(sq[n0] / denom[n0])
+    state.candidate = (n0 + 1, state.gain)
 
 
-def rank_blocks(states: list[BlockState]) -> int | None:
-    """Index of the block whose candidate gives the largest gain.
+def rank_blocks(gains) -> int | None:
+    """Index of the block with the largest candidate gain.
 
-    Returns ``None`` when every block is saturated (global saturation).
-    Ties go to the smallest block index.
+    ``gains`` holds one entry per block, ``-inf`` for a block without a
+    candidate.  Returns ``None`` when every entry is ``-inf`` (global
+    saturation).  Ties go to the smallest block index.
     """
-    best_q = None
-    best_gain = -np.inf
-    for q, st in enumerate(states):
-        if st.saturated or st.candidate is None:
-            continue
-        if st.candidate[1] > best_gain:
-            best_gain = st.candidate[1]
-            best_q = q
-    return best_q
+    gains = np.asarray(gains, dtype=float)
+    if gains.size == 0:
+        return None
+    q = int(np.argmax(gains))
+    return None if gains[q] == -np.inf else q
+
+
+def _grow(state: BlockState, dico: TrigDictionary) -> None:
+    """Double the capacity of ``w`` and ``r``, up to the dictionary's rank."""
+    k = len(state.selected)
+    cap = min(max(INITIAL_CAPACITY, 2 * k), _max_atoms(dico))
+    w = np.empty((cap, dico.block_size))
+    w[:k] = state.w[:k]
+    r = np.zeros((cap, cap))
+    r[:k, :k] = state.r[:k, :k]
+    state.w, state.r = w, r
 
 
 def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
@@ -199,54 +246,57 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
     if state.candidate is None:
         raise RuntimeError("no candidate to accept")
     n, _ = state.candidate
-    d = dico.atom(n)
-    w = d.copy()
-    if state.ortho:
-        basis = np.vstack(state.ortho)
-        w -= basis.T @ (basis @ w)
-        w -= basis.T @ (basis @ w)   # one re-orthogonalization pass
-        norm = np.linalg.norm(w)
-        if norm > 0 and np.abs(basis @ w).max() > ORTHO_TOL * norm:
-            w -= basis.T @ (basis @ w)
+    k = len(state.selected)
+    w = dico.atom(n)
+    basis = state.w[:k]
+    proj = basis @ w                   # accumulates r[:k, k] over the passes
+    w -= basis.T @ proj
+    again = basis @ w                  # one re-orthogonalization pass
+    w -= basis.T @ again
+    proj += again
+    norm = np.linalg.norm(w)
+    if k and norm > 0:
+        again = basis @ w
+        if np.abs(again).max() > ORTHO_TOL * norm:
+            w -= basis.T @ again
+            proj += again
     norm = float(np.linalg.norm(w))
     if norm <= DEPENDENCY_FLOOR:
         state.blocked[n - 1] = True
-        state.candidate = None
         select_candidate(state, dico, state.criterion)
         return False
 
-    w_unit = w / norm
-    b_new = w / (norm * norm)
-    if state.bior:
-        biors = np.vstack(state.bior)
-        biors -= np.outer(biors @ d, b_new)
-        state.bior = list(biors)
-    state.bior.append(b_new)
-    state.ortho.append(w_unit)
+    if k == state.w.shape[0]:
+        _grow(state, dico)
+    w_unit = state.w[k]
+    np.divide(w, norm, out=w_unit)
+    state.r[:k, k] = proj
+    state.r[k, k] = norm
     state.selected.append(n)
     state.blocked[n - 1] = True
 
     panel = dico.all_inner_products(w_unit)
     state.s_sums += panel * panel
-    alpha = state.residual.T @ w_unit          # == <w~, f_j>, w~ orthogonal to span
-    state.proj_coefs.append(alpha)
-    state.residual -= np.outer(w_unit, alpha)
-    state.res_ip -= np.outer(panel, alpha)
+    alpha = state.residual.T @ w_unit          # == <w, f_j>, w orthogonal to span
+    _subtract_outer(state.residual, w_unit, alpha)
+    _subtract_outer(state.res_ip, panel, alpha)
     state.accepted += 1
     if state.accepted % REFRESH_INTERVAL == 0:
         state.res_ip = _panel(dico, state.residual)
     state.candidate = None
-    if len(state.selected) >= min(dico.block_size, dico.num_atoms):
+    state.gain = -np.inf
+    if len(state.selected) >= _max_atoms(dico):
         state.saturated = True
     return True
 
 
 def compute_coefficients(state: BlockState, block) -> np.ndarray:
-    """Decomposition coefficients ``<b_n, f_j>`` for the finished block."""
+    """Decomposition coefficients of the finished block: ``r c = w f``."""
     block = _as_block(block)
-    if not state.selected:
+    k = len(state.selected)
+    if not k:
         return np.zeros((0, block.shape[1]))
-    return np.vstack(state.bior) @ block
+    return np.linalg.solve(state.r[:k, :k], state.w[:k] @ block)
 
 
 def _init_states(blocks, dico, criterion, threads):
@@ -268,6 +318,26 @@ def _decompositions(states: list[BlockState]) -> list[AtomicDecomposition]:
     ]
 
 
+def _pursue(states, dico, stop) -> bool:
+    """Upgrade the best-ranked block, one atom at a time, until ``stop``.
+
+    ``stop(q)`` is called after every atom accepted into block ``q`` and
+    returns True to end the pursuit.  Returns True when the partition
+    saturated before ``stop`` did.
+    """
+    gains = np.array([st.gain for st in states])
+    while True:
+        q = rank_blocks(gains)
+        if q is None:
+            return True
+        state = states[q]
+        if accept_candidate(state, dico):
+            if stop(q):
+                return False
+            select_candidate(state, dico, state.criterion)
+        gains[q] = state.gain
+
+
 def hbw_pursuit(
     blocks,
     dico: TrigDictionary,
@@ -287,15 +357,13 @@ def hbw_pursuit(
         raise ValueError("budget must be >= 0")
     states = _init_states(blocks, dico, criterion, threads)
     accepted = 0
-    saturated = False
-    while accepted < budget:
-        q = rank_blocks(states)
-        if q is None:
-            saturated = True
-            break
-        if accept_candidate(states[q], dico):
-            accepted += 1
-            select_candidate(states[q], dico, criterion)
+
+    def spent(_q):
+        nonlocal accepted
+        accepted += 1
+        return accepted >= budget
+
+    saturated = budget > 0 and _pursue(states, dico, spent)
     return PursuitResult(_decompositions(states), accepted, saturated)
 
 
@@ -324,8 +392,7 @@ def pursuit_to_snr(
     if signal_energy <= 0:
         raise ValueError("zero signal has no SNR")
 
-    snr_now = 0.0   # zero atoms leave the residual equal to the signal
-    if snr_now >= effective_target:
+    if effective_target <= 0.0:   # zero atoms leave the residual equal to the signal
         empties = [
             AtomicDecomposition(
                 indices=np.empty(0, dtype=np.int64),
@@ -337,7 +404,7 @@ def pursuit_to_snr(
             empties,
             0,
             saturated=False,
-            snr_db=snr_now,
+            snr_db=0.0,
             target_reached=True,
             snr_trace=np.empty(0),
         )
@@ -345,27 +412,18 @@ def pursuit_to_snr(
     states = _init_states(blocks, dico, criterion, threads)
     residual_energy = energies.copy()
     trace: list[float] = []
-    accepted = 0
-    reached = False
-    while True:
-        q = rank_blocks(states)
-        if q is None:
-            break
-        if not accept_candidate(states[q], dico):
-            continue
-        accepted += 1
+
+    def reached(q):
         residual_energy[q] = float(np.sum(np.square(states[q].residual)))
-        snr_now = snr_from_energies(signal_energy, float(residual_energy.sum()))
-        trace.append(snr_now)
-        if snr_now >= effective_target:
-            reached = True
-            break
-        select_candidate(states[q], dico, criterion)
+        trace.append(snr_from_energies(signal_energy, float(residual_energy.sum())))
+        return trace[-1] >= effective_target
+
+    saturated = _pursue(states, dico, reached)
     return PursuitResult(
         _decompositions(states),
-        accepted,
-        saturated=not reached,
-        snr_db=snr_now,
-        target_reached=reached,
+        len(trace),
+        saturated=saturated,
+        snr_db=trace[-1] if trace else 0.0,
+        target_reached=not saturated,
         snr_trace=np.asarray(trace),
     )

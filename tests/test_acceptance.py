@@ -71,7 +71,7 @@ def test_criterion_1_pursuit_matches_brute_force_oracle():
                     states = [init_block_state(b, d, OOMP) for b in blocks]
                     got_seq = []
                     while len(got_seq) < budget:
-                        qq = rank_blocks(states)
+                        qq = rank_blocks([st.gain for st in states])
                         if qq is None:
                             break
                         assert accept_candidate(states[qq], d)

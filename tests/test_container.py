@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from tdcodec import (
     write_tdc,
     write_wav,
 )
+from tdcodec.cli import main
+from tdcodec.container import _CRC, _FIXED, _RECORD
 
 
 def make_qset(rng, blocks=3, channels=2, atoms_per_block=4, max_index=64):
@@ -216,6 +219,41 @@ def test_geometry_mismatch_rejected(rng):
     with pytest.raises(FormatError):
         write_tdc(qset, sample_rate=8000, original_length=200,
                   block_size=16, half_size=32)   # needs Q=13, not 3
+
+
+def _reseal(blob: bytearray) -> bytes:
+    """Recompute the payload and header CRCs after editing header fields."""
+    channels = struct.unpack_from("<H", blob, 10)[0]
+    pos = _FIXED.size + (1 + 2 * channels) * _RECORD.size
+    _CRC.pack_into(blob, pos, zlib.crc32(blob[pos + 2 * _CRC.size :]))
+    _CRC.pack_into(blob, pos + _CRC.size, zlib.crc32(blob[: pos + _CRC.size]))
+    return bytes(blob)
+
+
+def test_hostile_index_symbol_count_is_rejected_before_decoding(tmp_path, rng):
+    blob = bytearray(
+        write_tdc(make_qset(rng), sample_rate=8000, original_length=33,
+                  block_size=16, half_size=32)
+    )
+    # the index stream's record follows the fixed header: bound, count, bytes
+    struct.pack_into("<Q", blob, _FIXED.size + 8, 1 << 40)
+    bad = _reseal(blob)
+    with pytest.raises(FormatError, match="index stream symbol count"):
+        read_tdc(bad)
+    path = tmp_path / "hostile.tdc"
+    path.write_bytes(bad)
+    assert main(["decode", "--in", str(path), "--out", str(tmp_path / "x.wav")]) == 3
+    assert main(["info", str(path)]) == 3
+
+
+def test_total_atoms_beyond_block_capacity_is_rejected(rng):
+    blob = bytearray(
+        write_tdc(make_qset(rng), sample_rate=8000, original_length=33,
+                  block_size=16, half_size=32)
+    )
+    struct.pack_into("<Q", blob, 32, 3 * 16 + 1)   # total_atoms; Q=3, N_b=16
+    with pytest.raises(FormatError, match="exceeds"):
+        read_tdc(_reseal(blob))
 
 
 def test_empty_signal_container_is_minimal(rng):

@@ -72,6 +72,16 @@ def test_atom_index_bounds():
         d.atom(17)
 
 
+@pytest.mark.parametrize("nb, m", [(4, 8), (16, 32), (12, 20)])
+def test_atom_is_bit_identical_to_its_atoms_matrix_row(nb, m):
+    d = TrigDictionary(nb, m)
+    for n in (1, m, m + 1, 2 * m):
+        assert np.array_equal(d.atom(n), d.atoms_matrix([n])[0])
+    for n in (0, 2 * m + 1):
+        with pytest.raises(ValueError):
+            d.atom(n)
+
+
 def test_constructor_rejects_bad_sizes():
     with pytest.raises(ValueError):
         TrigDictionary(1)

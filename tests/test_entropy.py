@@ -68,6 +68,11 @@ def test_symbol_above_bound_rejected():
         arith_encode(SymbolStream(np.array([-1]), 4))
 
 
+def test_decoder_rejects_bound_beyond_int64_symbols():
+    with pytest.raises(ValueError):
+        arith_decode(b"\x00" * 8, 1, (1 << 63) + 1)
+
+
 def test_truncated_input_reports_offset(rng):
     sym = rng.integers(0, 256, size=400)
     blob = arith_encode(SymbolStream(sym, 256))

@@ -90,16 +90,23 @@ def test_rank_blocks_picks_largest_gain_and_breaks_ties_low():
     lo = _fabricated_state(d, {1: (0.4, 0.0)})
     select_candidate(hi, d, OOMP)
     select_candidate(lo, d, OOMP)
-    assert rank_blocks([hi, lo]) == 0
-    assert rank_blocks([lo, hi]) == 1
-    assert rank_blocks([hi, hi]) == 0  # tie: smallest block index
+    assert rank_blocks([hi.gain, lo.gain]) == 0
+    assert rank_blocks([lo.gain, hi.gain]) == 1
+    assert rank_blocks([hi.gain, hi.gain]) == 0  # tie: smallest block index
+
+
+def test_rank_blocks_on_gains_vector():
+    assert rank_blocks([]) is None
+    assert rank_blocks([-np.inf, -np.inf]) is None
+    assert rank_blocks(np.array([0.5, 2.0, -np.inf, 2.0])) == 1   # tie goes low
+    assert rank_blocks([-np.inf, 0.0]) == 1
 
 
 def test_rank_blocks_returns_none_at_global_saturation():
     d = TrigDictionary(8, 16)
     st = init_block_state(np.zeros((8, 2)), d, OOMP)
     assert st.saturated
-    assert rank_blocks([st]) is None
+    assert rank_blocks([st.gain]) is None
 
 
 def test_exact_atom_block_outranks_tiny_noise(rng):
@@ -107,7 +114,7 @@ def test_exact_atom_block_outranks_tiny_noise(rng):
     noise = 1e-6 * rng.normal(size=(8, 2))
     pure = np.column_stack([2.0 * d.atom(5), 2.0 * d.atom(5)])
     states = [init_block_state(noise, d, OOMP), init_block_state(pure, d, OOMP)]
-    assert rank_blocks(states) == 1
+    assert rank_blocks([st.gain for st in states]) == 1
     # the exact atom's gain is the block's entire energy
     assert states[1].candidate[1] == pytest.approx(8.0, rel=1e-12)
 
@@ -140,13 +147,51 @@ def test_invariants_hold_at_full_rank(rng):
     block = rng.normal(size=(8, 1))
     state = init_block_state(block, d, OOMP)
     while not state.saturated:
+        assert state.gain == state.candidate[1]
         if accept_candidate(state, d):
             select_candidate(state, d, OOMP)
+        assert state.w.shape[0] <= min(d.block_size, d.num_atoms)
     assert len(state.selected) == 8
+    assert state.gain == -np.inf
     assert_state_invariants(state, d, block)
     coef = compute_coefficients(state, block)
     approx = synthesize_block(d, state.selected, coef)
     assert approx == pytest.approx(block, abs=1e-7)
+
+
+def test_w_capacity_doubles_from_eight_up_to_the_block_size(rng):
+    d = TrigDictionary(64, 128)
+    state = init_block_state(rng.normal(size=(64, 2)), d, OOMP)
+    seen = set()
+    while not state.saturated:
+        if accept_candidate(state, d):
+            seen.add(state.w.shape[0])
+            select_candidate(state, d, OOMP)
+    assert seen == {8, 16, 32, 64}
+    assert state.r.shape == (64, 64)
+
+
+def test_dependency_rejection_updates_the_gain(rng):
+    d = TrigDictionary(8, 16)
+    state = init_block_state(rng.normal(size=(8, 2)), d, OOMP)
+    assert accept_candidate(state, d)
+    select_candidate(state, d, OOMP)
+    first = state.selected[0]
+    # an atom already in the span is numerically dependent: rejected,
+    # excluded, and the block moves on to a fresh candidate
+    state.candidate = (first, 1.0)
+    assert not accept_candidate(state, d)
+    assert state.blocked[first - 1]
+    assert state.candidate[0] != first
+    assert state.gain == state.candidate[1] > 0
+
+    # with nothing else left to try, the rejection leaves no candidate
+    state.blocked[:] = True
+    state.blocked[first - 1] = False
+    state.candidate = (first, 1.0)
+    assert not accept_candidate(state, d)
+    assert state.saturated and state.candidate is None
+    assert state.gain == -np.inf
 
 
 def test_projection_coefficient_for_generating_atom():
@@ -206,7 +251,7 @@ def test_hbw_sequence_matches_brute_force_oracle(rng):
     states = [init_block_state(b, d, OOMP) for b in blocks]
     got_seq = []
     for _ in range(9):
-        q = rank_blocks(states)
+        q = rank_blocks([st.gain for st in states])
         if q is None:
             break
         assert accept_candidate(states[q], d)
@@ -222,6 +267,18 @@ def test_budget_beyond_capacity_sets_saturated_flag(rng):
     res = hbw_pursuit(blocks, d, budget=10)
     assert res.saturated
     assert res.atom_count == 4
+
+
+def test_budget_and_snr_stops_share_one_selection_sequence(rng):
+    d = TrigDictionary(8, 16)
+    blocks = random_blocks(rng, 4, 8, 2)
+    by_snr = pursuit_to_snr(blocks, d, 25.0)
+    by_budget = hbw_pursuit(blocks, d, by_snr.atom_count)
+    assert by_budget.atom_count == by_snr.atom_count
+    assert not by_budget.saturated
+    for a, b in zip(by_snr.decompositions, by_budget.decompositions):
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.coefficients, b.coefficients)
 
 
 def test_silent_block_gets_no_atoms(rng):

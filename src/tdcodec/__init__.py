@@ -43,9 +43,7 @@ from .pursuit import (
 from .quantize import (
     QuantizedBlockSet,
     StreamError,
-    dequantize_magnitude,
     parse_streams,
-    quantize_magnitude,
     serialize_decompositions,
 )
 
@@ -76,13 +74,11 @@ __all__ = [
     "arith_encode",
     "assemble",
     "compute_coefficients",
-    "dequantize_magnitude",
     "hbw_pursuit",
     "init_block_state",
     "parse_streams",
     "partition",
     "pursuit_to_snr",
-    "quantize_magnitude",
     "rank_blocks",
     "rate_report",
     "read_tdc",

@@ -59,6 +59,9 @@ VERSION = 1
 _FIXED = struct.Struct("<4sHIHQIIIQd")
 _RECORD = struct.Struct("<QQQ")
 _CRC = struct.Struct("<I")
+# The RIFF size field (36 header bytes plus the data) is a u32, so a
+# 16-bit PCM data chunk holds at most this many bytes.
+WAV_MAX_DATA_BYTES = 0xFFFFFFFF - 36
 
 
 class ContainerError(Exception):
@@ -185,6 +188,10 @@ def _framed(payload: bytes, frame: int) -> bytes:
 
 def write_wav(path, signal: MultichannelSignal) -> None:
     """Write 16-bit PCM, rounding half away from zero and clipping."""
+    if signal.samples.size * 2 > WAV_MAX_DATA_BYTES:
+        raise FormatError(
+            f"{signal.samples.size} samples exceed what a 16-bit WAV can hold"
+        )
     x = np.asarray(signal.samples, dtype=float) * 32768.0
     q = np.sign(x) * np.floor(np.abs(x) + 0.5)
     pcm = np.clip(q, -32768, 32767).astype("<i2")
@@ -342,6 +349,11 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
         raise FormatError("bad dictionary geometry in header")
     if not (q * block_size >= length > (q - 1) * block_size):
         raise FormatError("block geometry mismatch in header")
+    if length * channels * 2 > WAV_MAX_DATA_BYTES:
+        raise FormatError(
+            f"{length} samples x {channels} channels exceed what a 16-bit WAV "
+            "can hold"
+        )
     if not (delta > 0 and np.isfinite(delta)):
         raise FormatError("bad delta in header")
     # Cross-check every symbol count before the decoder allocates for it:

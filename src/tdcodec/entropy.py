@@ -44,7 +44,13 @@ class SymbolStream:
 
 
 class _AdaptiveModel:
-    """Fenwick-tree frequency model with Laplace (all-ones) initialization."""
+    """Fenwick-tree frequency model with Laplace (all-ones) initialization.
+
+    Node ``i`` of the tree holds the counts of symbols ``i - lowbit(i)``
+    to ``i - 1`` (``lowbit(i) = i & -i``), so with all counts 1 it holds
+    ``lowbit(i)`` and after a halving it is a difference of prefix sums;
+    both are built with numpy rather than a per-symbol Python loop.
+    """
 
     def __init__(self, size: int):
         self.size = size
@@ -53,17 +59,18 @@ class _AdaptiveModel:
         # the halving threshold needs headroom above the flat prior, or a
         # maximal alphabet would rebuild the tree on every single symbol
         self.limit = max(_MODEL_LIMIT, 2 * size)
-        self._build()
+        node = np.arange(size + 1)
+        self.tree = (node & -node).tolist()
+        self._topbit = 1 << (size.bit_length() - 1)
 
-    def _build(self):
-        tree = [0] * (self.size + 1)
-        for i, c in enumerate(self.counts):
-            tree[i + 1] += c
-            parent = (i + 1) + ((i + 1) & -(i + 1))
-            if parent <= self.size:
-                tree[parent] += tree[i + 1]
-        self.tree = tree
-        self._topbit = 1 << (self.size.bit_length() - 1)
+    def _halve(self):
+        counts = (np.array(self.counts, dtype=np.int64) + 1) >> 1
+        self.counts = counts.tolist()
+        self.total = int(counts.sum())
+        prefix = np.zeros(self.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=prefix[1:])
+        node = np.arange(self.size + 1)
+        self.tree = (prefix - prefix[node - (node & -node)]).tolist()
 
     def cum_below(self, symbol: int) -> int:
         s = 0
@@ -99,9 +106,7 @@ class _AdaptiveModel:
             tree[i] += 1
             i += i & -i
         if self.total > self.limit:
-            self.counts = [(c + 1) >> 1 for c in self.counts]
-            self.total = sum(self.counts)
-            self._build()
+            self._halve()
 
 
 class _RangeEncoder:

@@ -16,8 +16,7 @@ import numpy as np
 __all__ = [
     "StreamError",
     "QuantizedBlockSet",
-    "quantize_magnitude",
-    "dequantize_magnitude",
+    "quantize_levels",
     "serialize_decompositions",
     "parse_streams",
 ]
@@ -49,17 +48,18 @@ class QuantizedBlockSet:
         return int(len(self.coeff_streams[0])) if self.coeff_streams else 0
 
 
-def quantize_magnitude(value: float, delta: float) -> int:
-    """Map ``value`` to ``floor(|value| / delta + 1/2)``."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return int(np.floor(abs(value) / delta + 0.5))
+def quantize_levels(coef, delta: float) -> np.ndarray:
+    """Signed levels ``sign(c) * floor(|c| / delta + 1/2)``, elementwise.
 
-
-def dequantize_magnitude(level: int, delta: float) -> float:
-    if delta <= 0:
+    This is the codec's one quantization rule: the container stores the
+    magnitudes and signs of these levels, and the decoder reconstructs
+    ``delta * levels``.
+    """
+    if not delta > 0:
         raise ValueError("delta must be positive")
-    return delta * level
+    coef = np.asarray(coef, dtype=float)
+    mags = np.floor(np.abs(coef) / delta + 0.5).astype(np.int64)
+    return np.where(coef < 0, -mags, mags)
 
 
 def serialize_decompositions(decompositions, delta: float) -> QuantizedBlockSet:
@@ -97,8 +97,9 @@ def serialize_decompositions(decompositions, delta: float) -> QuantizedBlockSet:
             seg[1:] = np.diff(idx)
         else:
             seg = idx
-        mags = np.floor(np.abs(coef) / delta + 0.5).astype(np.int64)
-        signs = ((coef < 0) & (mags > 0)).astype(np.uint8)
+        levels = quantize_levels(coef, delta)
+        mags = np.abs(levels)
+        signs = (levels < 0).astype(np.uint8)
         index_parts.append(seg)
         mag_parts.append(mags)
         sign_parts.append(signs)

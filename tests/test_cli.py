@@ -27,12 +27,13 @@ from tdcodec.cli import (
 NB = 64
 
 
-def sparse_stereo_signal(rng, blocks=24, atoms=3, noise_db=-45.0, peak=0.7):
+def sparse_stereo_signal(rng, blocks=24, atoms=3, noise_db=-45.0, peak=0.7,
+                         channels=2):
     d = TrigDictionary(NB, 2 * NB)
     parts = []
     for _ in range(blocks):
         idx = rng.choice(np.arange(1, d.num_atoms + 1), size=atoms, replace=False)
-        coef = rng.normal(size=(atoms, 2)) * 0.2
+        coef = rng.normal(size=(atoms, channels)) * 0.2
         part = sum(np.outer(d.atom(n), coef[i]) for i, n in enumerate(idx))
         parts.append(part)
     samples = np.vstack(parts)
@@ -250,17 +251,44 @@ def test_decoded_snr_is_nonincreasing_in_delta(wav_in, tmp_path, rng):
     # the bisection in the delta search leans on this ordering; rounding
     # noise may jitter the curve by a sub-milli-dB amount at fine deltas
     from tdcodec import TrigDictionary, partition, pursuit_to_snr, read_wav
-    from tdcodec.cli import _BlockSynth, _decoded_snr
+    from tdcodec.cli import _ErrorModel
 
     sig = read_wav(wav_in)
     d = TrigDictionary(NB, 2 * NB)
     parted = partition(sig, NB)
     res = pursuit_to_snr(parted.blocks, d, 35.0)
-    synth = _BlockSynth(d, res.decompositions)
-    deltas = np.logspace(-6, np.log10(synth.max_coefficient()), 12)
-    snrs = [_decoded_snr(synth, sig.samples, dlt) for dlt in deltas]
+    model = _ErrorModel(d, res.decompositions, parted)
+    deltas = np.logspace(-6, np.log10(model.max_coefficient()), 12)
+    snrs = [model.snr(dlt) for dlt in deltas]
     assert np.all(np.diff(snrs) <= 2e-3)
     assert snrs[-1] < snrs[0] - 10.0
+
+
+@pytest.mark.parametrize("batch_atoms", [4, 256])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize(
+    "mode", [{"target_snr_db": 28.0}, {"budget": 40, "delta": 0.02}],
+    ids=["snr", "atoms"],
+)
+def test_reported_snr_equals_float_decode_of_the_file(
+    tmp_path, rng, monkeypatch, channels, mode, batch_atoms
+):
+    # the encoder's SNR comes from a closed form, never from a decode; it
+    # must still be the SNR of what the written file decodes to, also when
+    # the model's set-up splits blocks of equal atom count into batches
+    from tdcodec import cli
+    from tdcodec.cli import _decode_samples
+
+    monkeypatch.setattr(cli, "_MODEL_BATCH_ATOMS", batch_atoms)
+    samples = sparse_stereo_signal(rng, channels=channels)
+    assert samples.shape[0] % NB   # partial last block
+    path = tmp_path / "in.wav"
+    write_wav(path, MultichannelSignal(samples, 8000))
+    out, report = encode(path, tmp_path, **mode)
+    _, decoded = _decode_samples(out.read_bytes())
+    ref = read_wav(path).samples
+    exact = 10 * np.log10(np.sum(ref**2) / np.sum((ref - decoded) ** 2))
+    assert abs(report.snr_db - exact) <= 1e-6
 
 
 def test_melodic_clip_matches_published_style_target(tmp_path, rng):
@@ -297,3 +325,23 @@ def test_criterion_flags_select_variants(tmp_path, wav_in):
         )
         assert code == 0
         assert out.exists()
+
+
+def test_benchmark_finds_every_layer_function(monkeypatch):
+    # perfbench/spans.py wraps the codec's layer functions by module and
+    # name; renaming one (cli.synthesize_block, say) must fail here rather
+    # than only in a traced benchmark run
+    import importlib
+    import pathlib
+    import sys
+
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
+    )
+    spans = importlib.import_module("spans")
+    with spans.Tracer().installed():
+        for mod, cls, func in spans.TARGETS:
+            owner = sys.modules[f"tdcodec.{mod}"]
+            if cls is not None:
+                owner = getattr(owner, cls)
+            assert hasattr(getattr(owner, func), "__wrapped__"), f"{mod}.{func}"

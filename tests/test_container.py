@@ -246,6 +246,39 @@ def test_hostile_index_symbol_count_is_rejected_before_decoding(tmp_path, rng):
     assert main(["info", str(path)]) == 3
 
 
+def test_output_longer_than_any_wav_is_rejected_before_decoding(tmp_path, rng):
+    blob = bytearray(
+        write_tdc(make_qset(rng), sample_rate=8000, original_length=33,
+                  block_size=16, half_size=32)
+    )
+    # Q = 2^30 blocks of 16 samples, every symbol count consistent with
+    # K = 16 Q atoms: only the 2^34-sample output gives the header away
+    q = 1 << 30
+    k = 16 * q
+    struct.pack_into("<Q", blob, 12, 16 * q)          # original_length
+    struct.pack_into("<I", blob, 28, q)               # block_count
+    struct.pack_into("<Q", blob, 32, k)               # total_atoms
+    struct.pack_into("<Q", blob, _FIXED.size + 8, k + q - 1)
+    for i in range(1, 5):                             # 2 coeff + 2 sign streams
+        struct.pack_into("<Q", blob, _FIXED.size + i * _RECORD.size + 8, k)
+    bad = _reseal(blob)
+    with pytest.raises(FormatError, match="WAV"):
+        read_tdc(bad)
+    path = tmp_path / "huge.tdc"
+    path.write_bytes(bad)
+    assert main(["decode", "--in", str(path), "--out", str(tmp_path / "x.wav")]) == 3
+    assert main(["info", str(path)]) == 3
+
+
+def test_write_wav_rejects_data_beyond_the_riff_size_field(tmp_path):
+    # 2^31 16-bit samples need a 4 GiB data chunk; broadcast, so nothing
+    # of that size is ever allocated
+    huge = np.broadcast_to(np.zeros((1, 1)), (1 << 31, 1))
+    with pytest.raises(FormatError, match="WAV"):
+        write_wav(tmp_path / "x.wav", MultichannelSignal(huge, 8000))
+    assert not (tmp_path / "x.wav").exists()
+
+
 def test_total_atoms_beyond_block_capacity_is_rejected(rng):
     blob = bytearray(
         write_tdc(make_qset(rng), sample_rate=8000, original_length=33,

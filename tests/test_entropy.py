@@ -123,3 +123,42 @@ def test_size_tracks_empirical_entropy(bound, skew, rng):
     bound_bytes = _empirical_entropy_bits(symbols) / 8
     assert len(blob) <= bound_bytes * 1.05 + 64
     assert np.array_equal(arith_decode(blob, n, bound).symbols, symbols)
+
+
+def _loop_built_tree(counts):
+    """Fenwick tree built one symbol at a time, as the model once did."""
+    size = len(counts)
+    tree = [0] * (size + 1)
+    for i, c in enumerate(counts):
+        tree[i + 1] += c
+        parent = (i + 1) + ((i + 1) & -(i + 1))
+        if parent <= size:
+            tree[parent] += tree[i + 1]
+    return tree
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 1000, 65536])
+def test_fenwick_tree_matches_the_per_symbol_build(size, rng):
+    from tdcodec.entropy import _AdaptiveModel
+
+    model = _AdaptiveModel(size)
+    assert model.tree == _loop_built_tree(model.counts)
+    # skewed symbols leave uneven counts, so the halvings round some odd
+    # counts up; two limits' worth of updates force at least two halvings
+    symbols = rng.geometric(0.01, size=2 * model.limit) % size
+    expected, total = [1] * size, size
+    halvings = 0
+    for s in symbols.tolist():
+        model.update(s)
+        expected[s] += 1
+        total += 1
+        if total > model.limit:
+            expected = [(c + 1) >> 1 for c in expected]
+            total = sum(expected)
+            halvings += 1
+            assert model.counts == expected
+            assert model.total == sum(expected)
+            assert model.tree == _loop_built_tree(expected)
+    assert halvings >= 2
+    assert model.counts == expected
+    assert model.tree == _loop_built_tree(expected)

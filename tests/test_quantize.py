@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 from tdcodec import (
     AtomicDecomposition,
     StreamError,
-    dequantize_magnitude,
     parse_streams,
-    quantize_magnitude,
     serialize_decompositions,
 )
-from tdcodec.quantize import QuantizedBlockSet
+from tdcodec.quantize import QuantizedBlockSet, quantize_levels
 
 
 def dec(indices, coefficients):
@@ -22,21 +20,24 @@ def dec(indices, coefficients):
 
 
 def test_quantize_examples():
-    assert quantize_magnitude(3.7, 1.0) == 4
-    assert quantize_magnitude(0.49, 1.0) == 0
-    assert quantize_magnitude(-2.3, 0.5) == 5
+    assert quantize_levels(3.7, 1.0) == 4
+    assert quantize_levels(0.49, 1.0) == 0
+    assert quantize_levels(-2.3, 0.5) == -5
+    assert quantize_levels([3.7, 0.49, -2.3], 1.0).tolist() == [4, 0, -2]
 
 
 def test_dequantize_examples():
-    assert dequantize_magnitude(4, 1.0) == 4.0
-    assert dequantize_magnitude(0, 0.25) == 0.0
+    # the decoder reconstructs delta * level
+    assert 1.0 * quantize_levels(4.0, 1.0) == 4.0
+    assert 0.25 * quantize_levels(0.1, 0.25) == 0.0
+    assert (0.5 * quantize_levels([[-2.3, 1.1]], 0.5)).tolist() == [[-2.5, 1.0]]
 
 
 def test_quantize_rejects_nonpositive_delta():
     with pytest.raises(ValueError):
-        quantize_magnitude(1.0, 0.0)
+        quantize_levels(1.0, 0.0)
     with pytest.raises(ValueError):
-        dequantize_magnitude(1, -1.0)
+        quantize_levels([1.0], -1.0)
 
 
 @given(
@@ -44,8 +45,7 @@ def test_quantize_rejects_nonpositive_delta():
     st.floats(min_value=1e-6, max_value=1e3, allow_nan=False),
 )
 def test_quantization_error_within_half_step(c, delta):
-    q = quantize_magnitude(c, delta)
-    err = abs(dequantize_magnitude(q, delta) - abs(c))
+    err = abs(delta * quantize_levels(c, delta) - c)
     assert err <= delta / 2 * (1 + 1e-12)
 
 

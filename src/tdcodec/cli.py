@@ -29,7 +29,10 @@ import numpy as np
 
 from . import container, metrics, quantize
 from .container import MultichannelSignal
-from .dictionary import TrigDictionary, synthesize_block
+from .dictionary import TrigDictionary
+# The decoder synthesizes with TrigDictionary.synthesize; perfbench/spans.py
+# still looks synthesize_block up on this module by name.
+from .dictionary import synthesize_block  # noqa: F401
 from .entropy import EntropyDecodeError
 from .pursuit import SelectionCriterion, hbw_pursuit, pursuit_to_snr
 from .quantize import StreamError
@@ -254,6 +257,12 @@ def cmd_encode(cfg: EncodeConfig, out=sys.stdout) -> metrics.QualityReport:
     _check_modes(cfg)
     if cfg.redundancy < 2:
         raise UsageError("--redundancy must be >= 2")
+    if not 2 <= cfg.block_size <= container.MAX_BLOCK_SIZE:
+        raise UsageError(f"--block must be between 2 and {container.MAX_BLOCK_SIZE}")
+    if cfg.block_size * cfg.redundancy // 2 > container.MAX_HALF_SIZE:
+        raise UsageError(
+            f"--block x --redundancy / 2 must be at most {container.MAX_HALF_SIZE}"
+        )
     if cfg.threads < 1:
         raise UsageError("--threads must be >= 1")
     signal = container.read_wav(cfg.input_path)
@@ -317,10 +326,10 @@ def _decode_samples(data: bytes):
     header, qset = container.read_tdc(data)
     dico = TrigDictionary(header.block_size, header.half_size)
     parsed = quantize.parse_streams(qset)
-    blocks = [
-        synthesize_block(dico, idx, header.delta * values.astype(float))
-        for idx, values in parsed
-    ]
+    blocks = dico.synthesize(
+        [idx for idx, _ in parsed],
+        [header.delta * values.astype(float) for _, values in parsed],
+    )
     pad = header.block_count * header.block_size - header.original_length
     parted = container.PartitionedSignal(blocks=blocks, pad_length=pad)
     return header, container.assemble(parted)

@@ -62,6 +62,10 @@ _CRC = struct.Struct("<I")
 # The RIFF size field (36 header bytes plus the data) is a u32, so a
 # 16-bit PCM data chunk holds at most this many bytes.
 WAV_MAX_DATA_BYTES = 0xFFFFFFFF - 36
+# Largest dictionary geometry a .tdc may declare: the decoder builds the
+# dictionary (O(half_size) memory) before it reads any stream.
+MAX_BLOCK_SIZE = 1 << 16
+MAX_HALF_SIZE = 1 << 20
 
 
 class ContainerError(Exception):
@@ -106,7 +110,7 @@ class MultichannelSignal:
 
 @dataclass
 class PartitionedSignal:
-    blocks: list[np.ndarray]   # each (block_size, L)
+    blocks: list[np.ndarray]   # each (block_size, L), or one (Q, block_size, L)
     pad_length: int
 
     @property
@@ -234,7 +238,8 @@ def partition(signal: MultichannelSignal, block_size: int) -> PartitionedSignal:
 
 def assemble(parted: PartitionedSignal) -> np.ndarray:
     """Concatenate blocks and drop the final padding."""
-    full = np.vstack(parted.blocks)
+    blocks = np.asarray(parted.blocks)   # a stacked array is not copied
+    full = blocks.reshape(-1, blocks.shape[-1])
     n = full.shape[0] - parted.pad_length
     return full[:n]
 
@@ -255,6 +260,16 @@ def _bound(symbols) -> int:
     return int(arr.max()) + 1 if arr.size else 1
 
 
+def _check_output_size(q: int, block_size: int, channels: int) -> None:
+    """Decoders synthesize every block in full before the last one's padding
+    is dropped, so the padded length must fit one 16-bit WAV data chunk."""
+    if q * block_size * channels * 2 > WAV_MAX_DATA_BYTES:
+        raise FormatError(
+            f"{q} blocks of {block_size} samples x {channels} channels exceed "
+            "what a 16-bit WAV can hold"
+        )
+
+
 def write_tdc(
     qset: QuantizedBlockSet,
     *,
@@ -268,6 +283,7 @@ def write_tdc(
         raise FormatError(
             f"block geometry mismatch: Q={q}, block_size={block_size}, N={length}"
         )
+    _check_output_size(q, block_size, qset.channel_count)
     if not qset.delta > 0 or not np.isfinite(qset.delta):
         raise FormatError("delta must be a positive finite float")
     k = qset.total_atoms
@@ -347,13 +363,14 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
         raise FormatError("channel count must be >= 1")
     if block_size < 2 or half_size < block_size:
         raise FormatError("bad dictionary geometry in header")
+    if block_size > MAX_BLOCK_SIZE or half_size > MAX_HALF_SIZE:
+        raise FormatError(
+            f"block size {block_size} or half size {half_size} in header above "
+            f"the limits {MAX_BLOCK_SIZE} and {MAX_HALF_SIZE}"
+        )
     if not (q * block_size >= length > (q - 1) * block_size):
         raise FormatError("block geometry mismatch in header")
-    if length * channels * 2 > WAV_MAX_DATA_BYTES:
-        raise FormatError(
-            f"{length} samples x {channels} channels exceed what a 16-bit WAV "
-            "can hold"
-        )
+    _check_output_size(q, block_size, channels)
     if not (delta > 0 and np.isfinite(delta)):
         raise FormatError("bad delta in header")
     # Cross-check every symbol count before the decoder allocates for it:
@@ -366,6 +383,15 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
     for r in records[1 : 1 + 2 * channels]:
         if r.symbol_count != k:
             raise FormatError("stream symbol counts disagree with total_atoms")
+    # An index gap is at most 2M (the top atom after separator 0), and a
+    # sign is a bit.
+    if records[0].alphabet_bound > 2 * half_size + 1:
+        raise FormatError(
+            f"index stream alphabet bound {records[0].alphabet_bound} above "
+            f"2 * half_size + 1 = {2 * half_size + 1}"
+        )
+    if any(r.alphabet_bound > 2 for r in records[1 + channels :]):
+        raise FormatError("sign stream alphabet bound above 2")
 
     payload = data[pos:]
     if len(payload) != sum(r.byte_length for r in records):

@@ -19,7 +19,8 @@ dual itself is only derived on request (``BlockState.bior``).
 Inner products against every dictionary atom are cached per channel as a
 full panel and updated incrementally on each acceptance; panels are
 recomputed from the residual every ``REFRESH_INTERVAL`` acceptances to
-bound drift.
+bound drift.  The first panels of all blocks come from batched FFTs, one
+call per chunk of blocks, bit-identical to one block's own.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dictionary import TrigDictionary
+from .dictionary import FFT_CHUNK_BINS, TrigDictionary
 from .metrics import SNR_CAP_DB, snr_from_energies
 
 __all__ = [
@@ -123,7 +124,11 @@ class PursuitResult:
 
 
 def _panel(dico: TrigDictionary, channels: np.ndarray) -> np.ndarray:
-    """``(2M, L)`` inner products, column-major so each channel is contiguous."""
+    """``(2M, L)`` inner products, column-major so each channel is contiguous.
+
+    One ``all_inner_products`` call per channel: perfbench counts panel
+    refreshes as the channel panels computed under ``accept_candidate``.
+    """
     out = np.empty((dico.num_atoms, channels.shape[1]), order="F")
     for j in range(channels.shape[1]):
         out[:, j] = dico.all_inner_products(channels[:, j])
@@ -148,26 +153,40 @@ def _max_atoms(dico: TrigDictionary) -> int:
     return min(dico.block_size, dico.num_atoms)
 
 
-def init_block_state(
-    block, dico: TrigDictionary, criterion: SelectionCriterion
-) -> BlockState:
+def _check_block(block, dico: TrigDictionary) -> np.ndarray:
     block = _as_block(block)
     if block.ndim != 2 or block.shape[0] != dico.block_size:
         raise ValueError(f"block must be ({dico.block_size}, L)")
+    return block
+
+
+def init_block_state(
+    block, dico: TrigDictionary, criterion: SelectionCriterion, res_ip=None
+) -> BlockState:
+    """Fresh state of one block, with its first candidate selected.
+
+    ``res_ip`` is the block's ``(2M, L)`` panel if the caller has already
+    computed it; otherwise it is computed here.
+    """
+    block = _check_block(block, dico)
     n_atoms = dico.num_atoms
+    silent = not block.any()
+    if silent:
+        res_ip = np.zeros((n_atoms, block.shape[1]), order="F")
+    elif res_ip is None:
+        res_ip = _panel(dico, block)
     state = BlockState(
         block=block,
         residual=block.copy(),
-        res_ip=np.zeros((n_atoms, block.shape[1]), order="F"),
+        res_ip=res_ip,
         s_sums=np.zeros(n_atoms),
         criterion=criterion,
         blocked=np.zeros(n_atoms, dtype=bool),
     )
-    if not block.any():
+    if silent:
         # silent block: every gain is zero, never worth an atom
         state.saturated = True
         return state
-    state.res_ip = _panel(dico, state.residual)
     select_candidate(state, dico, criterion)
     return state
 
@@ -300,12 +319,32 @@ def compute_coefficients(state: BlockState, block) -> np.ndarray:
 
 
 def _init_states(blocks, dico, criterion, threads):
+    """Initial states of all blocks, their panels from batched FFTs.
+
+    Blocks go in chunks of at most ``FFT_CHUNK_BINS`` half-spectrum bins;
+    each chunk's panels come from one ``all_inner_products`` call on the
+    stacked channels, and every state gets a column-major ``(2M, L)`` view
+    of its own.  With ``threads > 1`` a pool maps the chunks.
+    """
+    blocks = [_check_block(b, dico) for b in blocks]
+    if not blocks:
+        return []
+    per_chunk = max(1, FFT_CHUNK_BINS // (blocks[0].shape[1] * (dico.half_size + 1)))
+
+    def init_chunk(chunk):
+        panels = dico.all_inner_products(np.stack(chunk).transpose(0, 2, 1))
+        return [
+            init_block_state(b, dico, criterion, res_ip=p.T)
+            for b, p in zip(chunk, panels)
+        ]
+
+    chunks = [blocks[i : i + per_chunk] for i in range(0, len(blocks), per_chunk)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(lambda b: init_block_state(b, dico, criterion), blocks)
-            )
-    return [init_block_state(b, dico, criterion) for b in blocks]
+            done = list(pool.map(init_chunk, chunks))
+    else:
+        done = [init_chunk(c) for c in chunks]
+    return [state for chunk in done for state in chunk]
 
 
 def _decompositions(states: list[BlockState]) -> list[AtomicDecomposition]:

@@ -142,20 +142,16 @@ def parse_streams(qset: QuantizedBlockSet) -> list[tuple[np.ndarray, np.ndarray]
         raise StreamError(
             "negative index symbol", position=int(np.argmin(stream >= 0))
         )
-    segments: list[list[int]] = [[]]
-    for pos, v in enumerate(stream.tolist()):
-        if v == 0:
-            segments.append([])
-        else:
-            segments[-1].append(v)
-    if len(segments) != qset.block_count:
+    seps = np.flatnonzero(stream == 0)
+    if seps.size + 1 != qset.block_count:
         raise StreamError(
-            f"found {len(segments)} block segments, expected {qset.block_count}",
+            f"found {seps.size + 1} block segments, expected {qset.block_count}",
             position=int(stream.size),
         )
 
-    counts = [len(s) for s in segments]
-    total = sum(counts)
+    counts = np.diff(seps, prepend=-1, append=stream.size) - 1
+    total = int(counts.sum())
+    values = np.empty((total, qset.channel_count), dtype=np.int64)
     for j in range(qset.channel_count):
         if len(qset.coeff_streams[j]) != total:
             raise StreamError(
@@ -179,21 +175,14 @@ def parse_streams(qset: QuantizedBlockSet) -> list[tuple[np.ndarray, np.ndarray]
                 f"sign stream {j} contains a non-bit symbol",
                 position=int(np.argmax((signs < 0) | (signs > 1))),
             )
+        values[:, j] = np.where(signs == 1, -mags, mags)
 
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    offset = 0
-    for seg in segments:
-        k = len(seg)
-        indices = np.cumsum(np.asarray(seg, dtype=np.int64))
-        values = np.empty((k, qset.channel_count), dtype=np.int64)
-        for j in range(qset.channel_count):
-            mags = np.asarray(
-                qset.coeff_streams[j][offset : offset + k], dtype=np.int64
-            )
-            signs = np.asarray(
-                qset.sign_streams[j][offset : offset + k], dtype=np.int64
-            )
-            values[:, j] = np.where(signs == 1, -mags, mags)
-        out.append((indices, values))
-        offset += k
-    return out
+    # Per-block running sums of the gaps: one cumulative sum over all of
+    # them, less its value where each block starts (int64 wraps the same
+    # way either way).
+    gaps = np.delete(stream, seps)
+    ends = np.cumsum(counts)
+    running = np.cumsum(gaps)
+    before = np.concatenate([[0], running])[ends - counts]
+    indices = running - np.repeat(before, counts)
+    return list(zip(np.split(indices, ends[:-1]), np.split(values, ends[:-1])))

@@ -119,3 +119,32 @@ def snr_direct(original, recovered) -> float:
     o = np.asarray(original, float)
     r = np.asarray(recovered, float)
     return 10.0 * np.log10(np.sum(o * o) / np.sum((o - r) ** 2))
+
+
+def atoms_synthesis(dico, indices, coef):
+    """``(N_b, L)`` block as the atom matrix times the coefficients."""
+    coef = np.asarray(coef, float)
+    if coef.ndim == 1:
+        coef = coef[:, None]
+    return dico.atoms_matrix(indices).T @ coef
+
+
+def parse_streams_loop(qset):
+    """Per-block ``(indices, signed levels)`` by one pass over the symbols."""
+    segments = [[]]
+    for v in np.asarray(qset.index_stream, dtype=np.int64).tolist():
+        if v == 0:
+            segments.append([])
+        else:
+            segments[-1].append(v)
+    out, offset = [], 0
+    for seg in segments:
+        k = len(seg)
+        values = np.empty((k, qset.channel_count), dtype=np.int64)
+        for j in range(qset.channel_count):
+            mags = np.asarray(qset.coeff_streams[j][offset : offset + k], np.int64)
+            signs = np.asarray(qset.sign_streams[j][offset : offset + k], np.int64)
+            values[:, j] = np.where(signs == 1, -mags, mags)
+        out.append((np.cumsum(np.asarray(seg, dtype=np.int64)), values))
+        offset += k
+    return out

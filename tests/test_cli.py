@@ -316,6 +316,50 @@ def test_nondefault_redundancy_encodes(tmp_path, wav_in):
     assert read_wav(dec).sample_count == read_wav(wav_in).sample_count
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--block", "1"], ["--block", str(1 << 17)],
+     ["--block", str(1 << 16), "--redundancy", "64"]],
+    ids=["block-too-small", "block-too-large", "half-size-too-large"],
+)
+def test_dictionary_geometry_beyond_the_format_is_a_usage_error(tmp_path, wav_in,
+                                                                flags):
+    # the decoder refuses such a header, so the encoder must not write it
+    out = tmp_path / "x.tdc"
+    code = main(["encode", "--in", str(wav_in), "--out", str(out), "--atoms", "5"]
+                + flags)
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("redundancy", [3, 4])
+@pytest.mark.parametrize("channels", [1, 6])
+def test_decode_matches_per_block_atom_synthesis(tmp_path, rng, channels,
+                                                 redundancy):
+    # the batched inverse-FFT decode against the atom-matrix sum of every
+    # block, the last one partial
+    from tdcodec import container, parse_streams
+    from tdcodec.cli import _decode_samples
+    from oracles import atoms_synthesis
+
+    samples = sparse_stereo_signal(rng, channels=channels)
+    path = tmp_path / "in.wav"
+    write_wav(path, MultichannelSignal(samples, 8000))
+    out, _ = encode(path, tmp_path, budget=300, delta=1e-3, redundancy=redundancy)
+    header, qset = read_tdc(out.read_bytes())
+    assert header.half_size == NB * redundancy // 2
+    d = TrigDictionary(header.block_size, header.half_size)
+    blocks = [
+        atoms_synthesis(d, idx, header.delta * values.astype(float))
+        for idx, values in parse_streams(qset)
+    ]
+    pad = header.block_count * NB - header.original_length
+    want = container.assemble(container.PartitionedSignal(blocks, pad))
+    _, got = _decode_samples(out.read_bytes())
+    assert got.shape == samples.shape
+    assert np.abs(got - want).max() <= 1e-12
+
+
 def test_criterion_flags_select_variants(tmp_path, wav_in):
     for name in ("oomp", "omp", "somp"):
         out = tmp_path / f"{name}.tdc"

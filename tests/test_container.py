@@ -25,6 +25,7 @@ from tdcodec import (
 )
 from tdcodec.cli import main
 from tdcodec.container import _CRC, _FIXED, _RECORD
+from tdcodec.quantize import QuantizedBlockSet
 
 
 def make_qset(rng, blocks=3, channels=2, atoms_per_block=4, max_index=64):
@@ -270,6 +271,19 @@ def test_output_longer_than_any_wav_is_rejected_before_decoding(tmp_path, rng):
     assert main(["info", str(path)]) == 3
 
 
+def test_padded_output_beyond_any_wav_is_rejected(tmp_path):
+    # a 1-sample clip in 2^15 channels fits a WAV, but its one block of
+    # 2^16 samples would have the decoder synthesize 2^31 samples (16 GiB)
+    channels = 1 << 15
+    head = _FIXED.pack(b"TDC1", 1, 8000, channels, 1, 1 << 16, 1 << 16, 1, 0, 0.5)
+    head += bytes(_RECORD.size * (1 + 2 * channels))
+    head += _CRC.pack(zlib.crc32(b""))
+    head += _CRC.pack(zlib.crc32(head))
+    with pytest.raises(FormatError, match="WAV"):
+        read_tdc(head)
+    assert _decode_exit_code(tmp_path, head) == 3
+
+
 def test_write_wav_rejects_data_beyond_the_riff_size_field(tmp_path):
     # 2^31 16-bit samples need a 4 GiB data chunk; broadcast, so nothing
     # of that size is ever allocated
@@ -286,6 +300,80 @@ def test_total_atoms_beyond_block_capacity_is_rejected(rng):
     )
     struct.pack_into("<Q", blob, 32, 3 * 16 + 1)   # total_atoms; Q=3, N_b=16
     with pytest.raises(FormatError, match="exceeds"):
+        read_tdc(_reseal(blob))
+
+
+def _decode_exit_code(tmp_path, blob: bytes) -> int:
+    path = tmp_path / "crafted.tdc"
+    path.write_bytes(blob)
+    return main(["decode", "--in", str(path), "--out", str(tmp_path / "x.wav")])
+
+
+@pytest.mark.parametrize(
+    "block_size, half_size",
+    [(16, (1 << 32) - 1), (1 << 17, 1 << 17)],
+    ids=["half_size", "block_size"],
+)
+def test_dictionary_geometry_above_the_limits_is_rejected(tmp_path, rng,
+                                                          block_size, half_size):
+    # one block of 10 samples, every count consistent: only the geometry is
+    # hostile (a 2^32 - 1 half size would cost 32 GiB of norms)
+    blob = bytearray(
+        write_tdc(make_qset(rng, blocks=1), sample_rate=8000, original_length=10,
+                  block_size=16, half_size=32)
+    )
+    struct.pack_into("<I", blob, 20, block_size)
+    struct.pack_into("<I", blob, 24, half_size)
+    bad = _reseal(blob)
+    with pytest.raises(FormatError, match="limits"):
+        read_tdc(bad)
+    assert _decode_exit_code(tmp_path, bad) == 3
+
+
+def test_index_gap_beyond_the_dictionary_is_rejected(tmp_path, rng):
+    # the last gap is 2M + 1 = 65, which no atom index can produce
+    good = make_qset(rng, blocks=2, channels=1, atoms_per_block=2)
+    crafted = QuantizedBlockSet(
+        delta=good.delta,
+        index_stream=np.array([3, 5, 0, 4, 65]),
+        coeff_streams=good.coeff_streams,
+        sign_streams=good.sign_streams,
+        block_count=2,
+        channel_count=1,
+    )
+    blob = write_tdc(crafted, sample_rate=8000, original_length=20,
+                     block_size=16, half_size=32)
+    with pytest.raises(FormatError, match="alphabet bound"):
+        read_tdc(blob)
+    assert _decode_exit_code(tmp_path, blob) == 3
+
+
+def test_index_summing_past_the_dictionary_exits_3(tmp_path, rng, capsys):
+    # gaps within the alphabet bound that add up to atom 2M + 1 = 65
+    good = make_qset(rng, blocks=2, channels=1, atoms_per_block=2)
+    crafted = QuantizedBlockSet(
+        delta=good.delta,
+        index_stream=np.array([3, 5, 0, 64, 1]),
+        coeff_streams=good.coeff_streams,
+        sign_streams=good.sign_streams,
+        block_count=2,
+        channel_count=1,
+    )
+    blob = write_tdc(crafted, sample_rate=8000, original_length=20,
+                     block_size=16, half_size=32)
+    read_tdc(blob)    # the container is well formed
+    assert _decode_exit_code(tmp_path, blob) == 3
+    assert "atom index out of range 1..64" in capsys.readouterr().err
+
+
+def test_sign_alphabet_above_two_is_rejected(rng):
+    blob = bytearray(
+        write_tdc(make_qset(rng, channels=2), sample_rate=8000, original_length=33,
+                  block_size=16, half_size=32)
+    )
+    # records: index, 2 coefficient streams, then the 2 sign streams
+    struct.pack_into("<Q", blob, _FIXED.size + 4 * _RECORD.size, 3)
+    with pytest.raises(FormatError, match="sign stream"):
         read_tdc(_reseal(blob))
 
 

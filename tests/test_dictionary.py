@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from tdcodec import TrigDictionary, synthesize_block
+from tdcodec import dictionary
 
-from oracles import cos_norm2_direct, direct_inner_products, sin_norm2_direct
+from oracles import (
+    atoms_synthesis,
+    cos_norm2_direct,
+    direct_inner_products,
+    sin_norm2_direct,
+)
 
 
 def test_default_geometry_has_redundancy_four():
@@ -151,3 +157,93 @@ def test_synthesize_block_empty_is_silence():
     out = synthesize_block(d, np.empty(0, dtype=int), np.zeros((0, 2)))
     assert out.shape == (16, 2)
     assert np.all(out == 0)
+
+
+GEOMETRIES = [(16, 32), (12, 20), (8, 13), (16, 24), (9, 9), (1024, 2048)]
+
+
+@pytest.mark.parametrize("nb, m", GEOMETRIES)
+def test_batched_panels_are_bit_identical_to_one_block_panels(rng, nb, m):
+    d = TrigDictionary(nb, m)
+    y = rng.normal(size=(5, 3, nb))
+    panels = d.all_inner_products(y)
+    assert panels.shape == (5, 3, 2 * m)
+    for i in range(5):
+        for j in range(3):
+            assert np.array_equal(panels[i, j], d.all_inner_products(y[i, j]))
+    # a strided stack (channels of (N_b, L) blocks) gives the same bits
+    strided = y.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    assert np.array_equal(d.all_inner_products(strided), panels)
+
+
+@pytest.mark.parametrize("nb, m", GEOMETRIES)
+def test_synthesis_is_the_adjoint_of_the_panel(rng, nb, m):
+    # <synth(c), y> == <c, analysis(y)> over every atom, several blocks
+    d = TrigDictionary(nb, m)
+    q, channels = 3, 2
+    coefs = [rng.normal(size=(2 * m, channels)) for _ in range(q)]
+    every = np.arange(1, 2 * m + 1)
+    y = rng.normal(size=(q, nb, channels))
+    lhs = float(np.sum(d.synthesize([every] * q, coefs) * y))
+    panels = d.all_inner_products(y.transpose(0, 2, 1))   # (q, L, 2M)
+    rhs = float(np.sum(np.stack(coefs) * panels.transpose(0, 2, 1)))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs), abs(lhs))
+
+
+def _synthesis_case(rng, d, k, channels):
+    """k distinct atoms including 1, M, M+1 and 2M when there is room."""
+    m = d.half_size
+    idx = rng.choice(np.arange(1, 2 * m + 1), size=k, replace=False)
+    edges = [n for n in (1, m, m + 1, 2 * m) if n not in idx[4:]][: min(k, 4)]
+    idx[: len(edges)] = edges
+    return idx, rng.normal(size=(k, channels))
+
+
+@pytest.mark.parametrize("channels", [1, 6])
+@pytest.mark.parametrize("nb, m", [(1024, 2048), (1024, 1536), (16, 24), (12, 20)])
+def test_synthesis_matches_atom_matrix_synthesis(rng, nb, m, channels):
+    d = TrigDictionary(nb, m)
+    cases = [_synthesis_case(rng, d, k, channels) for k in (1, 5, min(300, 2 * m), 0, 4)]
+    got = d.synthesize([i for i, _ in cases], [c for _, c in cases])
+    assert got.shape == (len(cases), nb, channels)
+    for block, (idx, coef) in zip(got, cases):
+        want = atoms_synthesis(d, idx, coef)
+        assert np.abs(block - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert np.array_equal(synthesize_block(d, idx, coef), block)
+
+
+def test_synthesis_does_not_depend_on_the_fft_chunk(rng, monkeypatch):
+    # one row (block and channel) per inverse FFT splits blocks across chunks
+    d = TrigDictionary(16, 32)
+    cases = [_synthesis_case(rng, d, k, 3) for k in (5, 0, 64, 1, 7)]
+    whole = d.synthesize([i for i, _ in cases], [c for _, c in cases])
+    monkeypatch.setattr(dictionary, "FFT_CHUNK_BINS", 1)
+    rows = d.synthesize([i for i, _ in cases], [c for _, c in cases])
+    assert np.array_equal(rows, whole)
+
+
+def test_synthesis_adds_repeated_atoms_like_the_atom_matrix():
+    d = TrigDictionary(16, 32)
+    got = synthesize_block(d, [5, 40, 5], np.array([1.0, 2.0, 3.0]))
+    want = atoms_synthesis(d, [5, 40, 5], [1.0, 2.0, 3.0])
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_synthesis_rejects_atom_indices_outside_the_dictionary():
+    d = TrigDictionary(16, 32)
+    for bad in (0, 65, -3):
+        with pytest.raises(ValueError, match="out of range"):
+            d.synthesize([[1, 2], [bad]], [np.ones((2, 1)), np.ones((1, 1))])
+
+
+def test_synthesis_rejects_mismatched_counts():
+    d = TrigDictionary(16, 32)
+    with pytest.raises(ValueError, match="atom count"):
+        synthesize_block(d, [1, 2], np.ones((3, 2)))
+    with pytest.raises(ValueError, match="block count"):
+        d.synthesize([[1]], [])
+
+
+def test_synthesis_of_no_blocks_is_empty():
+    d = TrigDictionary(16, 32)
+    assert d.synthesize([], []).shape == (0, 16, 1)

@@ -308,6 +308,31 @@ def test_pursuit_is_deterministic_across_threads(rng):
         assert np.array_equal(da.coefficients, db.coefficients)
 
 
+@pytest.mark.parametrize("chunk_bins", [1, 100, 1 << 16])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_batched_initial_panels_match_one_block_states(rng, monkeypatch, threads,
+                                                       chunk_bins):
+    # every block's initial panel comes from a chunked batch FFT; it must
+    # equal, bit for bit, the panel one block computes on its own, so the
+    # first candidates and gains (and every selection after them) match
+    from tdcodec import pursuit
+
+    monkeypatch.setattr(pursuit, "FFT_CHUNK_BINS", chunk_bins)
+    d = TrigDictionary(16, 32)
+    blocks = random_blocks(rng, 9, 16, 3)
+    blocks[4] = np.zeros((16, 3))    # silent
+    states = pursuit._init_states(blocks, d, OOMP, threads)
+    assert len(states) == len(blocks)
+    for st, b in zip(states, blocks):
+        alone = init_block_state(b, d, OOMP)
+        assert np.array_equal(st.res_ip, alone.res_ip)
+        assert st.res_ip.flags.f_contiguous
+        assert st.candidate == alone.candidate
+        assert st.gain == alone.gain
+        assert st.saturated == alone.saturated
+    assert states[4].saturated
+
+
 def test_panel_refresh_keeps_long_runs_healthy(rng):
     # run past the refresh interval on one block
     d = TrigDictionary(64, 128)

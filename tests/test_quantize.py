@@ -11,6 +11,8 @@ from tdcodec import (
 )
 from tdcodec.quantize import QuantizedBlockSet, quantize_levels
 
+from oracles import parse_streams_loop
+
 
 def dec(indices, coefficients):
     return AtomicDecomposition(
@@ -208,6 +210,36 @@ def test_serialize_parse_round_trip(setup):
         assert np.array_equal(values, signs * mags)
         # strictly ascending segments guarantee separators are unambiguous
         assert np.all(np.diff(idx) >= 1)
+
+
+def _assert_same_parse(got, want):
+    assert len(got) == len(want)
+    for (gi, gv), (wi, wv) in zip(got, want):
+        assert gi.dtype == wi.dtype and np.array_equal(gi, wi)
+        assert gv.dtype == wv.dtype and np.array_equal(gv, wv)
+
+
+@given(decomposition_sets())
+def test_parse_matches_the_symbol_loop(setup):
+    blocks, delta = setup
+    qs = serialize_decompositions(blocks, delta)
+    _assert_same_parse(parse_streams(qs), parse_streams_loop(qs))
+
+
+def test_parse_matches_the_symbol_loop_around_empty_blocks():
+    # empty first, middle and last blocks, two channels
+    qs = QuantizedBlockSet(
+        delta=1.0,
+        index_stream=np.array([0, 4, 1, 7, 0, 0, 2, 0]),
+        coeff_streams=[np.array([1, 2, 3, 4]), np.array([0, 5, 6, 7])],
+        sign_streams=[np.array([0, 1, 0, 1], dtype=np.uint8),
+                      np.array([1, 0, 0, 1], dtype=np.uint8)],
+        block_count=5,
+        channel_count=2,
+    )
+    got = parse_streams(qs)
+    _assert_same_parse(got, parse_streams_loop(qs))
+    assert [idx.tolist() for idx, _ in got] == [[], [4, 5, 12], [], [2], []]
 
 
 def test_quantization_distortion_obeys_gram_bound(rng):

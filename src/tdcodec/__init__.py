@@ -3,9 +3,9 @@
 The pipeline: partition the signal into blocks, approximate all channels
 of each block simultaneously over a redundant trigonometric dictionary
 (greedy pursuit with global block ranking), uniformly quantize the
-coefficients, delta-code the sorted atom indices, entropy-code all
-streams with an adaptive arithmetic coder, and wrap everything in a
-checksummed .tdc container.
+coefficients, delta-code the sorted atom indices, entropy-code indices
+and magnitudes with an adaptive arithmetic coder, pack the sign bits, and
+wrap everything in a checksummed .tdc container.
 """
 
 from .container import (

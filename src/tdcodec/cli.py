@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import container, metrics, quantize
+from . import container, entropy, metrics, quantize
 from .container import MultichannelSignal
 from .dictionary import TrigDictionary
 # The decoder synthesizes with TrigDictionary.synthesize; perfbench/spans.py
@@ -375,8 +375,15 @@ def cmd_info(path: str, out=sys.stdout) -> container.TdcHeader:
             if i <= header.channel_count
             else f"sign[{i - 1 - header.channel_count}]"
         )
+        coding = (
+            "packed bits"
+            if i > header.channel_count
+            else "bit-length bucket + bypass bits"
+            if rec.alphabet_bound > entropy.WIDE_ALPHABET
+            else "adaptive range code"
+        )
         lines.append(
-            f"stream {name}: bound {rec.alphabet_bound}, "
+            f"stream {name}: {coding}, bound {rec.alphabet_bound}, "
             f"{rec.symbol_count} symbols, {rec.byte_length} bytes"
         )
     print("\n".join(lines), file=out)

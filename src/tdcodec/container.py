@@ -4,7 +4,7 @@ The .tdc layout is little-endian throughout:
 
 ========================  =======================================
 magic                     4 bytes ``TDC1``
-version                   u16
+version                   u16, 2
 sample_rate               u32
 channel_count L           u16
 original_length N         u64 (samples per channel)
@@ -17,11 +17,17 @@ stream records (1 + 2L)   u64 alphabet_bound, u64 symbol_count,
                           u64 byte_length
 payload_checksum          u32 CRC-32 of the concatenated payloads
 header_checksum           u32 CRC-32 of every preceding byte
-payload                   entropy-coded streams, in record order
+payload                   the streams' bytes, in record order
 ========================  =======================================
 
 Stream order is: index stream, the L coefficient streams, the L sign
-streams.
+streams.  Index and coefficient streams are range coded by
+:mod:`tdcodec.entropy` (adaptive order-0 up to ``2**16`` symbols,
+bit-length bucket plus bypass bits above).  A sign stream holds K bits,
+one per atom, which no order-0 model compresses: its payload is the
+bits packed most significant first, ``ceil(K / 8)`` bytes with zero
+padding, and its record says bound 2 and count K.  Version-1 files
+(range-coded signs, 16-bit sub-symbols for wide alphabets) are refused.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ __all__ = [
 ]
 
 MAGIC = b"TDC1"
-VERSION = 1
+VERSION = 2
 _FIXED = struct.Struct("<4sHIHQIIIQd")
 _RECORD = struct.Struct("<QQQ")
 _CRC = struct.Struct("<I")
@@ -192,15 +198,25 @@ def _framed(payload: bytes, frame: int) -> bytes:
 
 def write_wav(path, signal: MultichannelSignal) -> None:
     """Write 16-bit PCM, rounding half away from zero and clipping."""
+    n_channels = signal.samples.shape[1]
     if signal.samples.size * 2 > WAV_MAX_DATA_BYTES:
         raise FormatError(
             f"{signal.samples.size} samples exceed what a 16-bit WAV can hold"
         )
+    # the fmt chunk's block align is a u16 and its byte rate a u32
+    if n_channels * 2 > 0xFFFF or signal.sample_rate * n_channels * 2 > 0xFFFFFFFF:
+        raise FormatError(
+            f"{n_channels} channels at {signal.sample_rate} Hz overflow the WAV "
+            "fmt fields"
+        )
     x = np.asarray(signal.samples, dtype=float) * 32768.0
-    q = np.sign(x) * np.floor(np.abs(x) + 0.5)
-    pcm = np.clip(q, -32768, 32767).astype("<i2")
+    q = np.abs(x)
+    q += 0.5
+    np.floor(q, out=q)
+    np.copysign(q, x, out=q)
+    np.clip(q, -32768, 32767, out=q)
+    pcm = q.astype("<i2")
     body = pcm.tobytes()
-    n_channels = signal.samples.shape[1]
     header = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
     header += b"fmt " + struct.pack(
         "<IHHIIHH",
@@ -246,15 +262,6 @@ def assemble(parted: PartitionedSignal) -> np.ndarray:
 
 # --- .tdc ------------------------------------------------------------------
 
-def _stream_tuples(qset: QuantizedBlockSet):
-    """Streams in container order with their alphabet bounds."""
-    yield qset.index_stream, _bound(qset.index_stream)
-    for s in qset.coeff_streams:
-        yield s, _bound(s)
-    for s in qset.sign_streams:
-        yield s, 2
-
-
 def _bound(symbols) -> int:
     arr = np.asarray(symbols)
     return int(arr.max()) + 1 if arr.size else 1
@@ -296,10 +303,17 @@ def write_tdc(
 
     payloads = []
     records = []
-    for symbols, bound in _stream_tuples(qset):
+    for symbols in [qset.index_stream, *qset.coeff_streams]:
+        bound = _bound(symbols)
         blob = entropy.arith_encode(entropy.SymbolStream(np.asarray(symbols), bound))
         payloads.append(blob)
         records.append(StreamRecord(bound, len(symbols), len(blob)))
+    for bits in qset.sign_streams:
+        bits = np.asarray(bits)
+        if bits.size and (bits.min() < 0 or bits.max() > 1):
+            raise FormatError("sign streams must hold only 0 and 1")
+        payloads.append(np.packbits(bits.astype(np.uint8)).tobytes())
+        records.append(StreamRecord(2, k, len(payloads[-1])))
     payload = b"".join(payloads)
 
     head = _FIXED.pack(
@@ -383,15 +397,19 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
     for r in records[1 : 1 + 2 * channels]:
         if r.symbol_count != k:
             raise FormatError("stream symbol counts disagree with total_atoms")
-    # An index gap is at most 2M (the top atom after separator 0), and a
-    # sign is a bit.
+    # An index gap is at most 2M (the top atom after separator 0).
     if records[0].alphabet_bound > 2 * half_size + 1:
         raise FormatError(
             f"index stream alphabet bound {records[0].alphabet_bound} above "
             f"2 * half_size + 1 = {2 * half_size + 1}"
         )
-    if any(r.alphabet_bound > 2 for r in records[1 + channels :]):
-        raise FormatError("sign stream alphabet bound above 2")
+    # A sign stream is K packed bits, which ties K to the payload size.
+    for r in records[1 + channels :]:
+        if r.alphabet_bound != 2 or r.byte_length != -(-k // 8):
+            raise FormatError(
+                f"sign stream record (bound {r.alphabet_bound}, "
+                f"{r.byte_length} bytes) is not {k} packed bits"
+            )
 
     payload = data[pos:]
     if len(payload) != sum(r.byte_length for r in records):
@@ -401,14 +419,19 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
     if zlib.crc32(payload) != payload_crc:
         raise ChecksumError("payload")
 
-    streams = []
+    blobs = []
     off = 0
     for r in records:
-        blob = payload[off : off + r.byte_length]
+        blobs.append(payload[off : off + r.byte_length])
         off += r.byte_length
-        streams.append(
-            entropy.arith_decode(blob, r.symbol_count, r.alphabet_bound).symbols
-        )
+    signs = [np.frombuffer(b, dtype=np.uint8) for b in blobs[1 + channels :]]
+    if k % 8 and any(s[-1] & (0xFF >> (k % 8)) for s in signs):
+        raise FormatError("sign stream padding bits are not zero")
+
+    streams = [
+        entropy.arith_decode(b, r.symbol_count, r.alphabet_bound).symbols
+        for b, r in zip(blobs[: 1 + channels], records)
+    ]
     index_stream = streams[0]
     n_sep = int(np.count_nonzero(index_stream == 0))
     if n_sep != q - 1:
@@ -431,8 +454,8 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
     qset = QuantizedBlockSet(
         delta=delta,
         index_stream=index_stream,
-        coeff_streams=streams[1 : 1 + channels],
-        sign_streams=[s.astype(np.uint8) for s in streams[1 + channels :]],
+        coeff_streams=streams[1:],
+        sign_streams=[np.unpackbits(s, count=k) for s in signs],
         block_count=q,
         channel_count=channels,
     )

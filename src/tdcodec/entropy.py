@@ -8,10 +8,15 @@ coder itself is an integer 32-bit range coder with carry handling, so the
 output bytes are a pure, platform-independent function of the symbol
 sequence and the alphabet bound.
 
-Alphabets wider than ``2**16`` are coded as a fixed number of 16-bit
-sub-symbols (most significant group first), each with its own adaptive
-model; this keeps model state bounded while admitting very wide symbol
-ranges (quantized coefficient levels grow like ``1/delta``).
+Alphabets wider than ``WIDE_ALPHABET`` (``2**16``) are binarised the way
+CABAC's UEG codes are: each symbol ``v`` codes its bit length
+``b = v.bit_length()`` through one adaptive model of
+``(bound - 1).bit_length() + 1`` symbols, then the ``b - 1`` bits below
+its leading one, most significant first, as bypass chunks of at most 16
+bits with a flat, stateless distribution.  Model state stays at most 64
+counts, and the low bits of wide symbols (quantised coefficient levels
+grow like ``1/delta``), which carry no structure an order-0 model could
+use, cost one range-coder step per chunk.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ __all__ = ["SymbolStream", "EntropyDecodeError", "arith_encode", "arith_decode"]
 _TOP = 1 << 24
 _MASK32 = 0xFFFFFFFF
 _MODEL_LIMIT = 1 << 16   # halve counts when the total exceeds this
-_GROUP = 1 << 16         # sub-symbol width for wide alphabets
+WIDE_ALPHABET = 1 << 16  # wider alphabets code bit length + bypass bits
+_CHUNK = 16              # bypass bits per range-coder step
 _MAX_BOUND = 1 << 63     # symbols live in int64
 
 
@@ -193,36 +199,28 @@ def _validate(symbols: np.ndarray, alphabet_bound: int):
             raise ValueError(f"symbol {hi} >= alphabet_bound {alphabet_bound}")
 
 
-def _group_models(bound: int) -> list[_AdaptiveModel]:
-    """One model per 16-bit sub-symbol, most significant group first."""
-    if bound <= _GROUP:
-        return [_AdaptiveModel(bound)]
-    groups = ((bound - 1).bit_length() + 15) // 16
-    top = ((bound - 1) >> (16 * (groups - 1))) + 1
-    return [_AdaptiveModel(top)] + [
-        _AdaptiveModel(_GROUP) for _ in range(groups - 1)
-    ]
-
-
 def arith_encode(stream: SymbolStream) -> bytes:
     """Encode ``stream`` to a self-terminating byte sequence."""
     symbols = np.asarray(stream.symbols, dtype=np.int64).reshape(-1)
     bound = int(stream.alphabet_bound)
     _validate(symbols, bound)
     enc = _RangeEncoder()
-    models = _group_models(bound)
-    if len(models) == 1:
-        model = models[0]
+    if bound <= WIDE_ALPHABET:
+        model = _AdaptiveModel(bound)
         for s in symbols.tolist():
             enc.encode(model.cum_below(s), model.counts[s], model.total)
             model.update(s)
-    else:
-        shifts = [16 * (len(models) - 1 - i) for i in range(len(models))]
-        for s in symbols.tolist():
-            for model, shift in zip(models, shifts):
-                part = (s >> shift) & 0xFFFF
-                enc.encode(model.cum_below(part), model.counts[part], model.total)
-                model.update(part)
+        return enc.finish()
+    model = _AdaptiveModel((bound - 1).bit_length() + 1)
+    for s in symbols.tolist():
+        b = s.bit_length()
+        enc.encode(model.cum_below(b), model.counts[b], model.total)
+        model.update(b)
+        rest = b - 1
+        while rest > 0:
+            w = rest if rest < _CHUNK else _CHUNK
+            rest -= w
+            enc.encode((s >> rest) & ((1 << w) - 1), 1, 1 << w)
     return enc.finish()
 
 
@@ -235,24 +233,29 @@ def arith_decode(data: bytes, length: int, alphabet_bound: int) -> SymbolStream:
     if length == 0:
         return SymbolStream(np.empty(0, dtype=np.int64), bound)
     dec = _RangeDecoder(data)
-    models = _group_models(bound)
     out = np.empty(length, dtype=np.int64)
-    if len(models) == 1:
-        model = models[0]
+    if bound <= WIDE_ALPHABET:
+        model = _AdaptiveModel(bound)
         for i in range(length):
             s, cum = model.find(dec.decode_target(model.total))
             dec.consume(cum, model.counts[s])
             model.update(s)
             out[i] = s
-    else:
-        for i in range(length):
-            s = 0
-            for model in models:
-                part, cum = model.find(dec.decode_target(model.total))
-                dec.consume(cum, model.counts[part])
-                model.update(part)
-                s = (s << 16) | part
-            if s >= bound:
-                raise EntropyDecodeError("decoded symbol out of range", dec.pos)
-            out[i] = s
+        return SymbolStream(out, bound)
+    model = _AdaptiveModel((bound - 1).bit_length() + 1)
+    for i in range(length):
+        b, cum = model.find(dec.decode_target(model.total))
+        dec.consume(cum, model.counts[b])
+        model.update(b)
+        s = 1 if b else 0
+        rest = b - 1
+        while rest > 0:
+            w = rest if rest < _CHUNK else _CHUNK
+            rest -= w
+            chunk = dec.decode_target(1 << w)
+            dec.consume(chunk, 1)
+            s = (s << w) | chunk
+        if s >= bound:
+            raise EntropyDecodeError("decoded symbol out of range", dec.pos)
+        out[i] = s
     return SymbolStream(out, bound)

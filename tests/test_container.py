@@ -1,8 +1,11 @@
 import struct
+import time
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tdcodec import (
     AtomicDecomposition,
@@ -23,19 +26,21 @@ from tdcodec import (
     write_tdc,
     write_wav,
 )
+from tdcodec import entropy
 from tdcodec.cli import main
-from tdcodec.container import _CRC, _FIXED, _RECORD
+from tdcodec.container import _CRC, _FIXED, _RECORD, VERSION
 from tdcodec.quantize import QuantizedBlockSet
 
 
-def make_qset(rng, blocks=3, channels=2, atoms_per_block=4, max_index=64):
+def make_qset(rng, blocks=3, channels=2, atoms_per_block=4, max_index=64,
+              delta=0.125):
     decs = []
     for _ in range(blocks):
         idx = rng.choice(np.arange(1, max_index + 1), size=atoms_per_block,
                          replace=False)
         coef = rng.normal(size=(atoms_per_block, channels)) * 4
         decs.append(AtomicDecomposition(idx.astype(np.int64), coef))
-    return serialize_decompositions(decs, 0.125)
+    return serialize_decompositions(decs, delta)
 
 
 # --- WAV -------------------------------------------------------------------
@@ -58,6 +63,25 @@ def test_wav_fullscale_negative_maps_to_minus_one(tmp_path):
     assert back.samples[0, 0] == -1.0
     # +1.0 clips to the 16-bit ceiling
     assert back.samples[1, 0] == pytest.approx(32767 / 32768)
+
+
+def test_wav_rounding_matches_half_away_from_zero_then_clip(tmp_path, rng):
+    ks = np.arange(-40000, 40000, 37, dtype=float)
+    x = np.concatenate([
+        rng.uniform(-1.2, 1.2, size=4000),
+        (ks + 0.5) / 32768, (ks - 0.5) / 32768,          # ties at +-(k + 1/2) LSB
+        [1.0, -1.0, 0.0, -0.0, 32767.5 / 32768, -32768.5 / 32768],
+        [1.5, -1.5, 100.0, -100.0, 1e300, -1e300],       # |x| > 1
+    ])
+    if x.size % 2:
+        x = np.append(x, 0.25)
+    samples = x.reshape(-1, 2)
+    path = tmp_path / "r.wav"
+    write_wav(path, MultichannelSignal(samples, 8000))
+    y = samples * 32768.0
+    expected = np.clip(np.sign(y) * np.floor(np.abs(y) + 0.5), -32768, 32767)
+    assert path.read_bytes()[44:] == expected.astype("<i2").tobytes()
+    assert np.array_equal(samples, x.reshape(-1, 2))     # input left alone
 
 
 @pytest.mark.parametrize("channels", [1, 2])
@@ -275,7 +299,8 @@ def test_padded_output_beyond_any_wav_is_rejected(tmp_path):
     # a 1-sample clip in 2^15 channels fits a WAV, but its one block of
     # 2^16 samples would have the decoder synthesize 2^31 samples (16 GiB)
     channels = 1 << 15
-    head = _FIXED.pack(b"TDC1", 1, 8000, channels, 1, 1 << 16, 1 << 16, 1, 0, 0.5)
+    head = _FIXED.pack(b"TDC1", VERSION, 8000, channels, 1, 1 << 16, 1 << 16, 1, 0,
+                       0.5)
     head += bytes(_RECORD.size * (1 + 2 * channels))
     head += _CRC.pack(zlib.crc32(b""))
     head += _CRC.pack(zlib.crc32(head))
@@ -291,6 +316,27 @@ def test_write_wav_rejects_data_beyond_the_riff_size_field(tmp_path):
     with pytest.raises(FormatError, match="WAV"):
         write_wav(tmp_path / "x.wav", MultichannelSignal(huge, 8000))
     assert not (tmp_path / "x.wav").exists()
+
+
+@pytest.mark.parametrize(
+    "channels, rate", [(2, 1 << 31), (1 << 15, 8000)], ids=["byte_rate", "align"]
+)
+def test_write_wav_rejects_fmt_fields_that_overflow(tmp_path, channels, rate):
+    # 2^31 Hz x 2 channels x 2 bytes overflows the u32 byte rate, and
+    # 2^15 channels x 2 bytes the u16 block align
+    sig = MultichannelSignal(np.zeros((1, channels)), rate)
+    with pytest.raises(FormatError, match="fmt fields"):
+        write_wav(tmp_path / "x.wav", sig)
+    assert not (tmp_path / "x.wav").exists()
+
+
+def test_decoding_2_to_the_15_channels_exits_3(tmp_path):
+    # one 2-sample block per channel fits every cap of the container, but
+    # no 16-bit WAV can say 2^15 channels
+    decs = [AtomicDecomposition(np.empty(0, dtype=np.int64), np.zeros((0, 1 << 15)))]
+    blob = write_tdc(serialize_decompositions(decs, 1.0), sample_rate=8000,
+                     original_length=1, block_size=2, half_size=2)
+    assert _decode_exit_code(tmp_path, blob) == 3
 
 
 def test_total_atoms_beyond_block_capacity_is_rejected(rng):
@@ -375,6 +421,161 @@ def test_sign_alphabet_above_two_is_rejected(rng):
     struct.pack_into("<Q", blob, _FIXED.size + 4 * _RECORD.size, 3)
     with pytest.raises(FormatError, match="sign stream"):
         read_tdc(_reseal(blob))
+
+
+def test_version_1_file_exits_3(tmp_path, rng, capsys):
+    blob = bytearray(
+        write_tdc(make_qset(rng), sample_rate=8000, original_length=33,
+                  block_size=16, half_size=32)
+    )
+    struct.pack_into("<H", blob, 4, 1)
+    bad = _reseal(blob)
+    with pytest.raises(UnsupportedVersionError):
+        read_tdc(bad)
+    assert _decode_exit_code(tmp_path, bad) == 3
+    assert "unsupported version 1" in capsys.readouterr().err
+
+
+# --- packed sign streams ---------------------------------------------------
+
+def test_sign_payloads_are_the_packed_bits(rng):
+    qset = make_qset(rng, channels=2)          # K = 12: two bytes per stream
+    blob = write_tdc(qset, sample_rate=8000, original_length=33,
+                     block_size=16, half_size=32)
+    header, back = read_tdc(blob)
+    tail = blob[len(blob) - 4:]
+    assert tail == b"".join(np.packbits(s).tobytes() for s in qset.sign_streams)
+    for rec in header.stream_records[3:]:
+        assert (rec.alphabet_bound, rec.symbol_count, rec.byte_length) == (2, 12, 2)
+    for a, b in zip(back.sign_streams, qset.sign_streams):
+        assert a.dtype == np.uint8 and np.array_equal(a, b)
+
+
+def test_write_tdc_rejects_sign_values_other_than_bits(rng):
+    qset = make_qset(rng, channels=1)
+    qset.sign_streams[0] = qset.sign_streams[0].astype(np.int64) * 2
+    with pytest.raises(FormatError, match="0 and 1"):
+        write_tdc(qset, sample_rate=8000, original_length=33,
+                  block_size=16, half_size=32)
+
+
+def _sign_byte_length_plus_one(blob: bytearray):
+    # records: index, 2 coefficient streams, then the 2 sign streams
+    struct.pack_into("<Q", blob, _FIXED.size + 3 * _RECORD.size + 16, 3)   # not 2
+
+
+def _padding_bit_set(blob: bytearray):
+    # K = 12 leaves the low 4 bits of each last byte; set the one right
+    # after the 12th sign
+    blob[-1] |= 0x08
+
+
+def _total_atoms_raised(blob: bytearray):
+    # K = 12 -> 20 with the index and coefficient counts to match; the
+    # sign records keep 2 bytes where 20 bits need 3
+    struct.pack_into("<Q", blob, 32, 20)
+    struct.pack_into("<Q", blob, _FIXED.size + 8, 20 + 3 - 1)
+    for i in range(1, 5):
+        struct.pack_into("<Q", blob, _FIXED.size + i * _RECORD.size + 8, 20)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [(_sign_byte_length_plus_one, "packed bits"),
+     (_padding_bit_set, "padding"),
+     (_total_atoms_raised, "packed bits")],
+    ids=["byte_length", "padding", "total_atoms"],
+)
+def test_hostile_sign_payload_is_rejected_before_decoding(tmp_path, rng,
+                                                          monkeypatch, mutate,
+                                                          message):
+    blob = bytearray(
+        write_tdc(make_qset(rng, channels=2), sample_rate=8000, original_length=33,
+                  block_size=16, half_size=32)
+    )
+    mutate(blob)
+    bad = _reseal(blob)
+
+    def no_stream_decoded(*args):
+        raise AssertionError("a stream was decoded")
+
+    monkeypatch.setattr(entropy, "arith_decode", no_stream_decoded)
+    with pytest.raises(FormatError, match=message):
+        read_tdc(bad)
+    assert _decode_exit_code(tmp_path, bad) == 3
+
+
+# --- header-mutation fuzz --------------------------------------------------
+
+# (offset, struct format) of every fixed-header field, magic included
+_HEADER_FIELDS = [(0, "4s"), (4, "H"), (6, "I"), (10, "H"), (12, "Q"),
+                  (20, "I"), (24, "I"), (28, "I"), (32, "Q"), (40, "d")]
+_FUZZ_CHANNELS = 2
+_FUZZ_FIELDS = _HEADER_FIELDS + [
+    (_FIXED.size + i * _RECORD.size + 8 * j, "Q")
+    for i in range(1 + 2 * _FUZZ_CHANNELS)
+    for j in range(3)                   # alphabet bound, symbol count, bytes
+]
+_FUZZ_FILE_BYTES = 275
+_FUZZ_EXAMPLES = 300
+_FUZZ_SECONDS = 10.0
+
+
+def _fuzz_file() -> bytes:
+    # 3 blocks of 16 samples, 2 channels, 4 atoms per block; a tiny delta
+    # makes the coefficient streams wide (bit-length bucket + bypass bits)
+    qset = make_qset(np.random.default_rng(11), channels=_FUZZ_CHANNELS,
+                     delta=1e-6)
+    assert all(int(s.max()) >= 1 << 16 for s in qset.coeff_streams)
+    return write_tdc(qset, sample_rate=8000, original_length=40,
+                     block_size=16, half_size=32)
+
+
+def _reseal_if_it_fits(blob: bytearray) -> bytes:
+    """Recompute both CRCs where the (maybe mutated) channel count puts them."""
+    channels = struct.unpack_from("<H", blob, 10)[0]
+    if _FIXED.size + (1 + 2 * channels) * _RECORD.size + 2 * _CRC.size > len(blob):
+        return bytes(blob)
+    return _reseal(blob)
+
+
+@st.composite
+def _mutations(draw):
+    offset, fmt = draw(st.sampled_from(_FUZZ_FIELDS))
+    if fmt == "4s":
+        return offset, fmt, draw(st.binary(min_size=4, max_size=4))
+    if fmt == "d":
+        return offset, fmt, draw(st.floats())
+    top = (1 << (8 * struct.calcsize("<" + fmt))) - 1
+    value = draw(st.one_of(
+        st.integers(0, top),
+        st.sampled_from([0, 1, 2, top, top >> 1, 1 << 16, (1 << 16) + 1])
+        .map(lambda v: min(v, top)),
+        st.integers(-64, 64).map(lambda d: ("relative", d)),
+    ))
+    return offset, fmt, value
+
+
+@given(mutation=_mutations())
+@settings(max_examples=_FUZZ_EXAMPLES, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_header_mutation_fuzz_exits_0_or_3(tmp_path, capsys, mutation):
+    blob = bytearray(_fuzz_file())
+    assert len(blob) == _FUZZ_FILE_BYTES
+    offset, fmt, value = mutation
+    if isinstance(value, tuple):
+        (old,) = struct.unpack_from("<" + fmt, blob, offset)
+        top = (1 << (8 * struct.calcsize("<" + fmt))) - 1
+        value = min(max(old + value[1], 0), top)
+    struct.pack_into("<" + fmt, blob, offset, value)
+    path = tmp_path / "fuzz.tdc"
+    path.write_bytes(_reseal_if_it_fits(blob))
+    start = time.perf_counter()
+    code = main(["decode", "--in", str(path), "--out", str(tmp_path / "x.wav")])
+    assert time.perf_counter() - start < _FUZZ_SECONDS
+    err = capsys.readouterr().err
+    assert code in (0, 3)
+    assert code == 0 or err.startswith("error:")
 
 
 def test_empty_signal_container_is_minimal(rng):

@@ -162,3 +162,98 @@ def test_fenwick_tree_matches_the_per_symbol_build(size, rng):
     assert halvings >= 2
     assert model.counts == expected
     assert model.tree == _loop_built_tree(expected)
+
+
+# --- wide alphabets: bit-length bucket plus bypass bits --------------------
+
+WIDE = 1 << 16
+
+
+def _edge_symbols(bound):
+    """0, 1, 2^j - 1 and 2^j for every bit length, and bound - 1."""
+    vals = {0, 1, bound - 1}
+    for j in range(1, (bound - 1).bit_length() + 1):
+        vals |= {(1 << j) - 1, 1 << j}
+    return np.array(sorted(v for v in vals if v < bound), dtype=np.int64)
+
+
+def test_bound_two_to_the_16_keeps_the_adaptive_model_bytes():
+    # regression byte lengths of the single adaptive model, unchanged by
+    # the wide-alphabet coding that starts one symbol above this bound
+    assert len(roundtrip(_edge_symbols(WIDE), WIDE)) == 69
+    rng = np.random.default_rng(5)
+    assert len(roundtrip(rng.integers(0, WIDE, size=3000), WIDE)) == 6009
+    rng = np.random.default_rng(5)
+    assert len(roundtrip(rng.geometric(0.001, size=3000) - 1, WIDE)) == 5795
+
+
+@pytest.mark.parametrize("bound", [WIDE + 1, 1 << 32, 1 << 63])
+def test_wide_bounds_roundtrip_every_bit_length(bound, rng):
+    edges = _edge_symbols(bound)
+    assert edges[-1] == bound - 1
+    roundtrip(edges, bound)
+    roundtrip(edges[::-1], bound)
+    roundtrip(np.repeat(edges, 3), bound)
+    roundtrip(rng.integers(0, bound, size=500, dtype=np.int64), bound)
+
+
+@given(
+    st.integers(min_value=WIDE + 1, max_value=1 << 63).flatmap(
+        lambda bound: st.tuples(
+            st.just(bound),
+            st.lists(
+                st.one_of(
+                    st.integers(0, bound - 1),
+                    st.integers(0, 64).map(lambda j: min((1 << j) - 1, bound - 1)),
+                ),
+                max_size=200,
+            ),
+        )
+    )
+)
+@settings(max_examples=80)
+def test_wide_roundtrip_property(case):
+    bound, symbols = case
+    roundtrip(symbols, bound)
+
+
+def _bucket_bypass_bits(symbols):
+    """Order-0 entropy of the bit lengths plus the bits below each leading one."""
+    lengths = np.array([int(v).bit_length() for v in symbols])
+    return _empirical_entropy_bits(lengths) + float(np.maximum(lengths - 1, 0).sum())
+
+
+@pytest.mark.parametrize("kind", ["levels", "uniform", "zeros"])
+def test_wide_size_tracks_bucket_entropy_plus_bypass_bits(kind, rng):
+    n, bound = 20_000, 1 << 30
+    if kind == "levels":      # near-lossless coefficient levels
+        symbols = np.minimum(rng.lognormal(14, 2.5, size=n), bound - 1)
+        symbols = symbols.astype(np.int64)
+    elif kind == "uniform":
+        symbols = rng.integers(0, bound, size=n)
+    else:
+        symbols = np.zeros(n, dtype=np.int64)
+    blob = roundtrip(symbols, bound)
+    assert len(blob) <= 1.05 * _bucket_bypass_bits(symbols) / 8 + 64
+
+
+@pytest.mark.parametrize(
+    "encoded, decoded", [(1 << 40, WIDE + 1), (1 << 63, 1 << 20), (1 << 33, 1 << 32)]
+)
+def test_smaller_wide_bound_raises_or_stays_below_it(encoded, decoded, rng):
+    symbols = rng.integers(0, encoded, size=300, dtype=np.int64)
+    blob = arith_encode(SymbolStream(symbols, encoded))
+    try:
+        out = arith_decode(blob, len(symbols), decoded).symbols
+    except EntropyDecodeError:
+        return
+    assert out.min() >= 0 and out.max() < decoded
+
+
+def test_wide_decoder_rejects_a_symbol_at_or_above_the_bound():
+    # 2^16 + 1 and 2^17 share the 18-symbol bit-length model, so the
+    # 17-bit symbol decodes intact and only the bound check can reject it
+    blob = arith_encode(SymbolStream(np.array([5, WIDE + 1]), 1 << 17))
+    assert arith_decode(blob, 2, 1 << 17).symbols.tolist() == [5, WIDE + 1]
+    with pytest.raises(EntropyDecodeError, match="out of range"):
+        arith_decode(blob, 2, WIDE + 1)

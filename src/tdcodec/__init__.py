@@ -4,8 +4,14 @@ The pipeline: partition the signal into blocks, approximate all channels
 of each block simultaneously over a redundant trigonometric dictionary
 (greedy pursuit with global block ranking), uniformly quantize the
 coefficients, delta-code the sorted atom indices, entropy-code indices
-and magnitudes with an adaptive arithmetic coder, pack the sign bits, and
-wrap everything in a checksummed .tdc container.
+and magnitudes as bit-length buckets with interleaved rANS plus raw
+bypass bits, pack the sign bits, and wrap everything in a checksummed
+.tdc container.
+
+The pursuit's block-level steps (``BlockState``, ``init_block_state``,
+``select_candidate``, ``accept_candidate``, ``rank_blocks``,
+``compute_coefficients``) and ``synthesize_block`` stay importable from
+here and from their modules, but are not part of ``__all__``.
 """
 
 from .container import (
@@ -52,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomicDecomposition",
     "BadMagicError",
-    "BlockState",
     "ChecksumError",
     "ContainerError",
     "EntropyDecodeError",
@@ -69,24 +74,18 @@ __all__ = [
     "TdcHeader",
     "TrigDictionary",
     "UnsupportedVersionError",
-    "accept_candidate",
     "arith_decode",
     "arith_encode",
     "assemble",
-    "compute_coefficients",
     "hbw_pursuit",
-    "init_block_state",
     "parse_streams",
     "partition",
     "pursuit_to_snr",
-    "rank_blocks",
     "rate_report",
     "read_tdc",
     "read_wav",
-    "select_candidate",
     "serialize_decompositions",
     "snr",
-    "synthesize_block",
     "write_tdc",
     "write_wav",
 ]

@@ -326,10 +326,15 @@ def _decode_samples(data: bytes):
     header, qset = container.read_tdc(data)
     dico = TrigDictionary(header.block_size, header.half_size)
     parsed = quantize.parse_streams(qset)
-    blocks = dico.synthesize(
-        [idx for idx, _ in parsed],
-        [header.delta * values.astype(float) for _, values in parsed],
-    )
+    # read_tdc keeps delta times every level finite, but a sum of atoms
+    # can still overflow; such a file is refused, without numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = dico.synthesize(
+            [idx for idx, _ in parsed],
+            [header.delta * values.astype(float) for _, values in parsed],
+        )
+    if not np.isfinite(blocks).all():
+        raise container.FormatError("decoded samples are not finite")
     pad = header.block_count * header.block_size - header.original_length
     parted = container.PartitionedSignal(blocks=blocks, pad_length=pad)
     return header, container.assemble(parted)
@@ -368,6 +373,7 @@ def cmd_info(path: str, out=sys.stdout) -> container.TdcHeader:
         f"file size:          {len(data)} bytes ({report.kbps:.2f} kbps)",
     ]
     for i, rec in enumerate(header.stream_records):
+        lanes = entropy.lane_count(rec.symbol_count)
         name = (
             "index"
             if i == 0
@@ -378,9 +384,8 @@ def cmd_info(path: str, out=sys.stdout) -> container.TdcHeader:
         coding = (
             "packed bits"
             if i > header.channel_count
-            else "bit-length bucket + bypass bits"
-            if rec.alphabet_bound > entropy.WIDE_ALPHABET
-            else "adaptive range code"
+            else f"rANS, {lanes} lane{'s' * (lanes != 1)}, "
+            "bit-length buckets + bypass bits"
         )
         lines.append(
             f"stream {name}: {coding}, bound {rec.alphabet_bound}, "

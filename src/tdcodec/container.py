@@ -4,7 +4,7 @@ The .tdc layout is little-endian throughout:
 
 ========================  =======================================
 magic                     4 bytes ``TDC1``
-version                   u16, 2
+version                   u16, 3
 sample_rate               u32
 channel_count L           u16
 original_length N         u64 (samples per channel)
@@ -21,17 +21,21 @@ payload                   the streams' bytes, in record order
 ========================  =======================================
 
 Stream order is: index stream, the L coefficient streams, the L sign
-streams.  Index and coefficient streams are range coded by
-:mod:`tdcodec.entropy` (adaptive order-0 up to ``2**16`` symbols,
-bit-length bucket plus bypass bits above).  A sign stream holds K bits,
-one per atom, which no order-0 model compresses: its payload is the
-bits packed most significant first, ``ceil(K / 8)`` bytes with zero
-padding, and its record says bound 2 and count K.  Version-1 files
-(range-coded signs, 16-bit sub-symbols for wide alphabets) are refused.
+streams.  The payload of an index or coefficient stream is what
+:func:`tdcodec.entropy.arith_encode` writes: a bit-packed static
+frequency table of bit-length bucket symbols, ``min(16, ceil(count /
+128))`` u32 rANS lane states, the u16 rANS words, then the values' bypass
+bits packed most significant first (the entropy module's docstring has
+the details).  A sign stream holds K bits, one per atom, which no
+order-0 model compresses: its payload is the bits packed most
+significant first, ``ceil(K / 8)`` bytes with zero padding, and its
+record says bound 2 and count K.  Files of versions 1 and 2 (adaptive
+range coding) are refused.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -61,7 +65,7 @@ __all__ = [
 ]
 
 MAGIC = b"TDC1"
-VERSION = 2
+VERSION = 3
 _FIXED = struct.Struct("<4sHIHQIIIQd")
 _RECORD = struct.Struct("<QQQ")
 _CRC = struct.Struct("<I")
@@ -209,7 +213,8 @@ def write_wav(path, signal: MultichannelSignal) -> None:
             f"{n_channels} channels at {signal.sample_rate} Hz overflow the WAV "
             "fmt fields"
         )
-    x = np.asarray(signal.samples, dtype=float) * 32768.0
+    with np.errstate(over="ignore"):   # +-inf clips to full scale below
+        x = np.asarray(signal.samples, dtype=float) * 32768.0
     q = np.abs(x)
     q += 0.5
     np.floor(q, out=q)
@@ -433,6 +438,9 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
         for b, r in zip(blobs[: 1 + channels], records)
     ]
     index_stream = streams[0]
+    top = max((int(c.max()) for c in streams[1:] if c.size), default=0)
+    if not math.isfinite(delta * top):
+        raise FormatError(f"delta {delta!r} times level {top} is not finite")
     n_sep = int(np.count_nonzero(index_stream == 0))
     if n_sep != q - 1:
         raise FormatError(f"index stream has {n_sep} separators, expected {q - 1}")

@@ -148,3 +148,83 @@ def parse_streams_loop(qset):
         out.append((np.cumsum(np.asarray(seg, dtype=np.int64)), values))
         offset += k
     return out
+
+
+def rans_reference_decode(data: bytes, count: int, bound: int) -> list[int]:
+    """Symbols of one stream payload, decoded one symbol at a time in plain
+    Python from the layout in ``tdcodec.entropy``'s docstring.
+
+    Raises ``ValueError`` where the payload breaks that layout.
+    """
+    if count == 0:
+        if data:
+            raise ValueError("payload of an empty stream")
+        return []
+    bits = "".join(f"{byte:08b}" for byte in data)
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        if pos + n > len(bits):
+            raise ValueError("truncated")
+        pos += n
+        return int(bits[pos - n : pos] or "0", 2)
+
+    lo, hi = take(7), take(7)
+    if not lo <= hi < 2 * (bound - 1).bit_length() + 2:
+        raise ValueError("table lists a bucket above the bound")
+    freq, rest = {}, []
+    for s in range(lo, hi + 1):
+        if s in (1, 3):
+            continue
+        code = take(4)
+        if code == 15:
+            rest.append(s)
+        elif 1 <= code <= 13:
+            kept = min(code - 1, 2)
+            freq[s] = ((1 << kept) | take(kept)) << (code - 1 - kept)
+        elif code:
+            raise ValueError("bad code")
+    if len(rest) != 1 or sum(freq.values()) >= 4096:
+        raise ValueError("table does not sum to 4096")
+    freq[rest[0]] = 4096 - sum(freq.values())
+    cum, start = {}, 0
+    for s in sorted(freq):
+        cum[s] = start
+        start += freq[s]
+    byte = (pos + 7) // 8
+    if "1" in bits[pos : 8 * byte]:
+        raise ValueError("table padding")
+    lanes = min(16, -(-count // 128))
+    states = [int.from_bytes(data[byte + 4 * j : byte + 4 * j + 4], "little")
+              for j in range(lanes)]
+    byte += 4 * lanes
+    buckets = []
+    for i in range(count):
+        j = i % lanes
+        x = states[j]
+        slot = x % 4096
+        s = next(s for s in freq if cum[s] <= slot < cum[s] + freq[s])
+        x = freq[s] * (x // 4096) + slot - cum[s]
+        if x < 1 << 16:
+            x = (x << 16) | int.from_bytes(data[byte : byte + 2], "little")
+            byte += 2
+        states[j] = x
+        buckets.append(s)
+    if any(x != 1 << 16 for x in states):
+        raise ValueError("a lane does not end in its initial state")
+    field = "".join(f"{b:08b}" for b in data[byte:])
+    values, at = [], 0
+    for s in buckets:
+        b, c = s // 2, s % 2
+        if b < 2:
+            values.append(b)
+            continue
+        low = field[at : at + b - 2]
+        at += b - 2
+        values.append((((2 + c) << (b - 2)) | int(low or "0", 2)))
+    if len(field) != 8 * ((at + 7) // 8) or "1" in field[at:]:
+        raise ValueError("bypass field size or padding")
+    if values and max(values) >= bound:
+        raise ValueError("value above the bound")
+    return values

@@ -154,6 +154,9 @@ def test_info_reports_header_fields(wav_in, tmp_path):
     assert header.total_atoms == 30
     assert "blocks:" in text and "mean atoms/block" in text
     assert f"{header.delta:.9g}" in text
+    # 30 atoms take one rANS lane per coded stream
+    assert "stream index: rANS, 1 lane, bit-length buckets + bypass bits" in text
+    assert "stream sign[0]: packed bits" in text
 
 
 def test_compare_self_reports_sentinel_and_decodes_tdc(wav_in, tmp_path):

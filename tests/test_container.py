@@ -1,5 +1,6 @@
 import struct
 import time
+import warnings
 import zlib
 
 import numpy as np
@@ -436,6 +437,47 @@ def test_version_1_file_exits_3(tmp_path, rng, capsys):
     assert "unsupported version 1" in capsys.readouterr().err
 
 
+def test_version_2_file_exits_3(tmp_path, rng, capsys):
+    # version 2 range-coded its streams; no decoder for it is kept
+    blob = bytearray(
+        write_tdc(make_qset(rng), sample_rate=8000, original_length=33,
+                  block_size=16, half_size=32)
+    )
+    struct.pack_into("<H", blob, 4, 2)
+    bad = _reseal(blob)
+    with pytest.raises(UnsupportedVersionError):
+        read_tdc(bad)
+    assert _decode_exit_code(tmp_path, bad) == 3
+    assert "unsupported version 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "delta, message",
+    [(1e290, None), (1e299, None), (1e300, "decoded samples are not finite"),
+     (1e303, "not finite")],
+)
+def test_huge_delta_exits_3_or_clips_without_warnings(tmp_path, capsys, delta,
+                                                      message):
+    # the fuzz file's largest level is 7389299: delta 1e303 makes a level
+    # overflow, delta 1e300 a synthesized sample; smaller ones clip to
+    # full scale, with no numpy overflow warning on the way
+    blob = bytearray(_fuzz_file())
+    struct.pack_into("<d", blob, 40, delta)
+    bad = _reseal(blob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _decode_exit_code(tmp_path, bad)
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == 0
+        assert np.abs(read_wav(tmp_path / "x.wav").samples).min() >= 32767 / 32768
+    else:
+        assert code == 3 and message in err
+    if delta == 1e303:
+        with pytest.raises(FormatError, match="level 7389299 is not finite"):
+            read_tdc(bad)
+
+
 # --- packed sign streams ---------------------------------------------------
 
 def test_sign_payloads_are_the_packed_bits(rng):
@@ -511,24 +553,49 @@ def test_hostile_sign_payload_is_rejected_before_decoding(tmp_path, rng,
 _HEADER_FIELDS = [(0, "4s"), (4, "H"), (6, "I"), (10, "H"), (12, "Q"),
                   (20, "I"), (24, "I"), (28, "I"), (32, "Q"), (40, "d")]
 _FUZZ_CHANNELS = 2
-_FUZZ_FIELDS = _HEADER_FIELDS + [
-    (_FIXED.size + i * _RECORD.size + 8 * j, "Q")
-    for i in range(1 + 2 * _FUZZ_CHANNELS)
-    for j in range(3)                   # alphabet bound, symbol count, bytes
-]
-_FUZZ_FILE_BYTES = 275
+_FUZZ_FILE_BYTES = 291
 _FUZZ_EXAMPLES = 300
 _FUZZ_SECONDS = 10.0
 
 
 def _fuzz_file() -> bytes:
     # 3 blocks of 16 samples, 2 channels, 4 atoms per block; a tiny delta
-    # makes the coefficient streams wide (bit-length bucket + bypass bits)
+    # makes the coefficient levels wide (up to 23 bits, 21 of them bypass bits)
     qset = make_qset(np.random.default_rng(11), channels=_FUZZ_CHANNELS,
                      delta=1e-6)
     assert all(int(s.max()) >= 1 << 16 for s in qset.coeff_streams)
     return write_tdc(qset, sample_rate=8000, original_length=40,
                      block_size=16, half_size=32)
+
+
+def _payload_fields(blob: bytes) -> list[tuple[int, str]]:
+    """(offset, struct format) of every frequency-table byte, every lane
+    state, the first rANS word and the last bypass byte of each coded
+    stream."""
+    header, qset = read_tdc(blob)
+    pos = len(blob) - sum(r.byte_length for r in header.stream_records)
+    fields = []
+    for rec, values in zip(header.stream_records,
+                           [qset.index_stream, *qset.coeff_streams]):
+        data = blob[pos : pos + rec.byte_length]
+        buckets = 2 * (rec.alphabet_bound - 1).bit_length() + 2
+        table = entropy._unpack_table(data, buckets)[1]
+        lanes = entropy.lane_count(rec.symbol_count)
+        bypass = sum(max(int(v).bit_length() - 2, 0) for v in values)
+        words_at = table + 4 * lanes
+        assert bypass and rec.byte_length >= words_at + 2 + 1   # a word, a bypass byte
+        fields += [(pos + i, "B") for i in range(table)]
+        fields += [(pos + table + 4 * j, "I") for j in range(lanes)]
+        fields += [(pos + words_at, "H"), (pos + rec.byte_length - 1, "B")]
+        pos += rec.byte_length
+    return fields
+
+
+_FUZZ_FIELDS = _HEADER_FIELDS + [
+    (_FIXED.size + i * _RECORD.size + 8 * j, "Q")
+    for i in range(1 + 2 * _FUZZ_CHANNELS)
+    for j in range(3)                   # alphabet bound, symbol count, bytes
+] + _payload_fields(_fuzz_file())
 
 
 def _reseal_if_it_fits(blob: bytearray) -> bytes:

@@ -10,8 +10,9 @@ bypass bits, pack the sign bits, and wrap everything in a checksummed
 
 The pursuit's block-level steps (``BlockState``, ``init_block_state``,
 ``select_candidate``, ``accept_candidate``, ``rank_blocks``,
-``compute_coefficients``) and ``synthesize_block`` stay importable from
-here and from their modules, but are not part of ``__all__``.
+``compute_coefficients``), ``synthesize_block`` and the entropy coder
+(``SymbolStream``, ``arith_encode``, ``arith_decode``) stay importable
+from here and from their modules, but are not part of ``__all__``.
 """
 
 from .container import (
@@ -70,12 +71,9 @@ __all__ = [
     "SelectionCriterion",
     "SNR_CAP_DB",
     "StreamError",
-    "SymbolStream",
     "TdcHeader",
     "TrigDictionary",
     "UnsupportedVersionError",
-    "arith_decode",
-    "arith_encode",
     "assemble",
     "hbw_pursuit",
     "parse_streams",

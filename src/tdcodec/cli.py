@@ -10,10 +10,11 @@ decoded SNR matches the target within 0.05 dB.  With ``--atoms`` the
 pursuit spends a fixed atom budget and ``--delta`` (default ``1e-8``,
 i.e. near-lossless quantization of the decomposition) is used as given.
 
-Neither mode decodes to measure its SNR: the decoded error energy is a
-closed-form quadratic in the coefficients' quantization errors, set up
-once per encode from per-block Gram matrices (``_ErrorModel``), so each
-delta the search tries costs a few vector operations, not a synthesis.
+Neither mode decodes the whole clip to measure its SNR: the decoded error
+energy of a block is its residual energy plus ``|R E|^2``, with ``R`` the
+pursuit's own triangular factor of the block's atoms and ``E`` the
+coefficients' quantization errors (``_ErrorModel``).  Each delta the
+search tries costs a few batched products and one block of synthesis.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .dictionary import TrigDictionary
 # still looks synthesize_block up on this module by name.
 from .dictionary import synthesize_block  # noqa: F401
 from .entropy import EntropyDecodeError
-from .pursuit import SelectionCriterion, hbw_pursuit, pursuit_to_snr
+from .pursuit import PursuitResult, SelectionCriterion, hbw_pursuit, pursuit_to_snr
 from .quantize import StreamError
 
 __all__ = [
@@ -52,10 +53,6 @@ __all__ = [
 SNR_MATCH_TOL_DB = 0.05
 DELTA_SEARCH_ITERS = 40
 DEFAULT_BUDGET_DELTA = 1e-8
-# Atoms per set-up stack of the error model: 2 MB of atom matrix at
-# N_b = 1024.  Whole-group stacks ran no faster and raised the encoder's
-# peak memory by ~50 MB on a 30 s stereo clip.
-_MODEL_BATCH_ATOMS = 256
 
 _CRITERIA = {
     "oomp": SelectionCriterion.OOMPML,
@@ -103,72 +100,61 @@ def _check_modes(cfg: EncodeConfig):
 
 
 class _ErrorModel:
-    """Decoded error energy of one encode as a closed form in ``delta``.
+    """Decoded error energy of one encode as a function of ``delta``.
 
-    Block ``q`` decodes to ``A_q^T (C_q + E_q)``, where the rows of ``A_q``
-    are its atoms (cut to the samples the decoder keeps), ``C_q`` holds the
-    float coefficients and ``E_q = delta * levels - C_q`` the quantization
-    error.  With the unquantized residual ``r_q = x_q - A_q^T C_q``,
+    The pursuit leaves block ``q`` with atoms ``A_q^T = W_q^T R_q``: the
+    rows of ``W_q`` are orthonormal, ``R_q`` is their triangular factor,
+    and the unquantized residual ``r_q`` is orthogonal to every row.  With
+    the float coefficients ``C_q`` and the quantization error
+    ``E_q = delta * levels - C_q``, the block decodes to
+    ``x_q - r_q + W_q^T R_q E_q``, so its error energy is
 
-        |x - x_hat|^2 = sum |r_q|^2 - 2 sum E_q . (A_q r_q)
-                        + sum E_q^T (A_q A_q^T) E_q,
+        |r_q|^2 + |R_q E_q|^2.
 
-    so set-up keeps ``sum |r_q|^2``, the projections ``A_q r_q`` and the
-    Gram entries as one flat list, and each evaluation is a few vector
-    operations over all atoms at once, with no synthesis.  Set-up runs on
-    stacks of blocks with equal atom counts, at most
-    ``_MODEL_BATCH_ATOMS`` atoms per stack.
+    Set-up stacks the factors of blocks with equal atom count, and each
+    evaluation is one batched ``R @ E`` per atom count.  The last block is
+    the exception: the decoder drops its padding, which breaks the
+    orthogonality, so that one block is decoded exactly, through
+    ``TrigDictionary.synthesize``.
     """
 
     def __init__(
-        self, dico: TrigDictionary, decompositions, parted: container.PartitionedSignal
+        self,
+        dico: TrigDictionary,
+        result: PursuitResult,
+        parted: container.PartitionedSignal,
     ):
-        blocks = parted.blocks
-        kept = dico.block_size - parted.pad_length
-        counts = np.array([dec.indices.size for dec in decompositions])
-        channels = blocks[0].shape[1]
-        self.signal_energy = 0.0
-        self.residual_energy = 0.0
-        coefs, projs, rows, cols, gram = [], [], [], [], []
-        offset = 0
-        for k in np.unique(counts).tolist():
-            group = np.flatnonzero(counts == k)
-            step = max(1, _MODEL_BATCH_ATOMS // max(k, 1))
-            for start in range(0, group.size, step):
-                qs = group[start : start + step]
-                x = np.stack([blocks[q] for q in qs])
-                self.signal_energy += float(np.vdot(x, x))
-                idx = np.concatenate([decompositions[q].indices for q in qs])
-                atoms = dico.atoms_matrix(idx).reshape(qs.size, k, dico.block_size)
-                if qs[-1] == len(blocks) - 1:
-                    atoms[-1, :, kept:] = 0.0   # samples the decoder drops
-                c = np.stack([decompositions[q].coefficients for q in qs])
-                r = x - atoms.transpose(0, 2, 1) @ c
-                self.residual_energy += float(np.vdot(r, r))
-                coefs.append(c.reshape(-1, channels))
-                projs.append((atoms @ r).reshape(-1, channels))
-                gram.append((atoms @ atoms.transpose(0, 2, 1)).ravel())
-                ids = offset + np.arange(qs.size * k).reshape(qs.size, k)
-                rows.append(np.repeat(ids, k, axis=1).ravel())
-                cols.append(np.tile(ids, k).ravel())
-                offset += qs.size * k
-        self.coefs = np.concatenate(coefs)
-        self.projs = np.concatenate(projs)
-        self.rows = np.concatenate(rows)
-        self.cols = np.concatenate(cols)
-        self.gram = np.concatenate(gram)
+        blocks, decs = parted.blocks, result.decompositions
+        self.dico = dico
+        self.signal_energy = float(sum(np.vdot(x, x) for x in blocks))
+        self.residual_energy = float(result.residual_energies[:-1].sum())
+        self.last_indices = decs[-1].indices
+        self.last_samples = blocks[-1][: dico.block_size - parted.pad_length]
+        counts = np.array([dec.atom_count for dec in decs[:-1]], dtype=np.int64)
+        self.groups = []    # (stacked factors, their rows of coefs)
+        coefs, row = [], 0
+        for k in np.unique(counts[counts > 0]).tolist():
+            qs = np.flatnonzero(counts == k)
+            factors = np.stack([result.factors[q] for q in qs])
+            self.groups.append((factors, slice(row, row + qs.size * k)))
+            coefs += [decs[q].coefficients for q in qs]
+            row += qs.size * k
+        self.coefs = np.concatenate(coefs + [decs[-1].coefficients])
+        self.last_row = row
 
     def max_coefficient(self) -> float:
         return float(np.abs(self.coefs).max()) if self.coefs.size else 0.0
 
     def snr(self, delta: float) -> float:
-        err = delta * quantize.quantize_levels(self.coefs, delta) - self.coefs
-        pair = np.einsum("ij,ij->i", err[self.rows], err[self.cols])
-        energy = (
-            self.residual_energy
-            - 2.0 * float(np.vdot(err, self.projs))
-            + float(self.gram @ pair)
-        )
+        decoded = delta * quantize.quantize_levels(self.coefs, delta)
+        err = decoded - self.coefs
+        energy = self.residual_energy
+        for factors, rows in self.groups:
+            e = factors @ err[rows].reshape(len(factors), -1, err.shape[1])
+            energy += float(np.vdot(e, e))
+        last = self.dico.synthesize([self.last_indices], [decoded[self.last_row :]])
+        miss = self.last_samples - last[0, : len(self.last_samples)]
+        energy += float(np.vdot(miss, miss))
         return metrics.snr_from_energies(self.signal_energy, energy)
 
 
@@ -281,13 +267,13 @@ def cmd_encode(cfg: EncodeConfig, out=sys.stdout) -> metrics.QualityReport:
             cfg.criterion,
             threads=cfg.threads,
         )
-        if not result.target_reached and result.snr_db < cfg.target_snr_db:
+        if result.saturated and result.snr_db < cfg.target_snr_db:
             raise TargetUnreachableError(
                 f"pursuit saturated at {result.snr_db:.2f} dB, "
                 f"target {cfg.target_snr_db:.2f} dB",
                 best_snr_db=result.snr_db,
             )
-        model = _ErrorModel(dico, result.decompositions, parted)
+        model = _ErrorModel(dico, result, parted)
         delta, achieved = _tune_delta(model, cfg.target_snr_db)
     else:
         result = hbw_pursuit(
@@ -295,7 +281,7 @@ def cmd_encode(cfg: EncodeConfig, out=sys.stdout) -> metrics.QualityReport:
         )
         delta = cfg.delta if cfg.delta is not None else DEFAULT_BUDGET_DELTA
         achieved = (
-            _ErrorModel(dico, result.decompositions, parted).snr(delta)
+            _ErrorModel(dico, result, parted).snr(delta)
             if signal.samples.any()
             else float("nan")
         )

@@ -63,7 +63,7 @@ class TrigDictionary:
         w2[0] = nb  # constant atom, the closed form is 0/0 here
         n = np.arange(2, m + 1)
         x = np.pi * (n - 1) / m
-        w2[1:] = nb / 2 + np.sin(x) * np.sin(2 * nb * x) / (2 * (1 - np.cos(2 * x)))
+        w2[1:] = nb / 2 + np.sin(2 * nb * x) / (4 * np.sin(x))
         return np.sqrt(w2)
 
     @staticmethod
@@ -71,7 +71,7 @@ class TrigDictionary:
         w2 = np.empty(m)
         n = np.arange(1, m)
         x = np.pi * n / m
-        w2[:-1] = nb / 2 - np.sin(x) * np.sin(2 * nb * x) / (2 * (1 - np.cos(2 * x)))
+        w2[:-1] = nb / 2 - np.sin(2 * nb * x) / (4 * np.sin(x))
         # n = m hits the 0/0 of the closed form; sum the samples directly.
         i = np.arange(1, nb + 1)
         v = np.sin(np.pi * (2 * i - 1) / 2)

@@ -90,7 +90,6 @@ class BlockState:
     candidate: tuple[int, float] | None = None
     gain: float = -np.inf             # candidate's gain; -inf if none/saturated
     saturated: bool = False
-    accepted: int = 0
 
     def __post_init__(self):
         if self.w is None:
@@ -118,8 +117,9 @@ class PursuitResult:
     decompositions: list[AtomicDecomposition]
     atom_count: int
     saturated: bool
+    factors: list[np.ndarray]         # per block, the (k, k) factor r[:k, :k]
+    residual_energies: np.ndarray     # per block, |residual|^2 over channels
     snr_db: float | None = None
-    target_reached: bool | None = None
     snr_trace: np.ndarray | None = None
 
 
@@ -305,8 +305,7 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
     # contiguous update with the same products as the column loop
     by_channel = state.res_ip.T
     by_channel -= alpha[:, None] * panel
-    state.accepted += 1
-    if state.accepted % REFRESH_INTERVAL == 0:
+    if len(state.selected) % REFRESH_INTERVAL == 0:
         state.res_ip = _panel(dico, state.residual)
     state.candidate = None
     state.gain = -np.inf
@@ -353,14 +352,19 @@ def _init_states(blocks, dico, criterion, threads):
     return [state for chunk in done for state in chunk]
 
 
-def _decompositions(states: list[BlockState]) -> list[AtomicDecomposition]:
-    return [
+def _result(states: list[BlockState], atom_count, saturated, **report):
+    decompositions = [
         AtomicDecomposition(
             indices=np.asarray(st.selected, dtype=np.int64),
             coefficients=compute_coefficients(st, st.block),
         )
         for st in states
     ]
+    factors = [st.r[: st.atom_count, : st.atom_count] for st in states]
+    energies = np.array([float(np.sum(np.square(st.residual))) for st in states])
+    return PursuitResult(
+        decompositions, atom_count, saturated, factors, energies, **report
+    )
 
 
 def _pursue(states, dico, stop) -> bool:
@@ -409,7 +413,7 @@ def hbw_pursuit(
         return accepted >= budget
 
     saturated = budget > 0 and _pursue(states, dico, spent)
-    return PursuitResult(_decompositions(states), accepted, saturated)
+    return _result(states, accepted, saturated)
 
 
 def pursuit_to_snr(
@@ -425,7 +429,7 @@ def pursuit_to_snr(
     matches a from-scratch residual computation to numerical accuracy.
     Stops at the first atom count whose SNR meets ``target_snr_db``; if
     the partition saturates first, returns the best achieved SNR with
-    ``target_reached=False``.
+    ``saturated=True``.
     """
     if not np.isfinite(target_snr_db):
         raise ValueError("target SNR must be finite")
@@ -449,8 +453,9 @@ def pursuit_to_snr(
             empties,
             0,
             saturated=False,
+            factors=[np.zeros((0, 0)) for _ in blocks],
+            residual_energies=energies,
             snr_db=0.0,
-            target_reached=True,
             snr_trace=np.empty(0),
         )
 
@@ -464,11 +469,10 @@ def pursuit_to_snr(
         return trace[-1] >= effective_target
 
     saturated = _pursue(states, dico, reached)
-    return PursuitResult(
-        _decompositions(states),
+    return _result(
+        states,
         len(trace),
-        saturated=saturated,
+        saturated,
         snr_db=trace[-1] if trace else 0.0,
-        target_reached=not saturated,
         snr_trace=np.asarray(trace),
     )

@@ -260,38 +260,71 @@ def test_decoded_snr_is_nonincreasing_in_delta(wav_in, tmp_path, rng):
     d = TrigDictionary(NB, 2 * NB)
     parted = partition(sig, NB)
     res = pursuit_to_snr(parted.blocks, d, 35.0)
-    model = _ErrorModel(d, res.decompositions, parted)
+    model = _ErrorModel(d, res, parted)
     deltas = np.logspace(-6, np.log10(model.max_coefficient()), 12)
     snrs = [model.snr(dlt) for dlt in deltas]
     assert np.all(np.diff(snrs) <= 2e-3)
     assert snrs[-1] < snrs[0] - 10.0
 
 
-@pytest.mark.parametrize("batch_atoms", [4, 256])
-@pytest.mark.parametrize("channels", [1, 3])
-@pytest.mark.parametrize(
-    "mode", [{"target_snr_db": 28.0}, {"budget": 40, "delta": 0.02}],
-    ids=["snr", "atoms"],
-)
-def test_reported_snr_equals_float_decode_of_the_file(
-    tmp_path, rng, monkeypatch, channels, mode, batch_atoms
-):
-    # the encoder's SNR comes from a closed form, never from a decode; it
-    # must still be the SNR of what the written file decodes to, also when
-    # the model's set-up splits blocks of equal atom count into batches
-    from tdcodec import cli
+def _check_reported_snr(tmp_path, samples, mode, block_size=NB):
     from tdcodec.cli import _decode_samples
 
-    monkeypatch.setattr(cli, "_MODEL_BATCH_ATOMS", batch_atoms)
-    samples = sparse_stereo_signal(rng, channels=channels)
-    assert samples.shape[0] % NB   # partial last block
-    path = tmp_path / "in.wav"
+    path, out = tmp_path / "in.wav", tmp_path / "out.tdc"
     write_wav(path, MultichannelSignal(samples, 8000))
-    out, report = encode(path, tmp_path, **mode)
+    cfg = EncodeConfig(str(path), str(out), block_size=block_size, **mode)
+    report = cmd_encode(cfg, out=io.StringIO())
     _, decoded = _decode_samples(out.read_bytes())
     ref = read_wav(path).samples
     exact = 10 * np.log10(np.sum(ref**2) / np.sum((ref - decoded) ** 2))
     assert abs(report.snr_db - exact) <= 1e-6
+    return read_tdc(out.read_bytes())
+
+
+_MODES = pytest.mark.parametrize(
+    "mode", [{"target_snr_db": 28.0}, {"budget": 40, "delta": 0.02}],
+    ids=["snr", "atoms"],
+)
+
+
+@pytest.mark.parametrize("block_size", [4, 256])
+@pytest.mark.parametrize("channels", [1, 3])
+@_MODES
+def test_reported_snr_equals_float_decode_of_the_file(
+    tmp_path, rng, channels, mode, block_size
+):
+    # the encoder's SNR comes from the pursuit's triangular factors, never
+    # from a decode of the clip; it must still be the SNR of what the
+    # written file decodes to.  Short blocks give hundreds of small factors
+    # per stack, long blocks a few large ones; the last block is partial
+    samples = sparse_stereo_signal(rng, channels=channels)
+    assert samples.shape[0] % block_size   # partial last block
+    header, _ = _check_reported_snr(tmp_path, samples, mode, block_size)
+    assert header.block_size == block_size
+
+
+@pytest.mark.parametrize("layout", ["whole-blocks", "single-block", "silent-middle"])
+@pytest.mark.parametrize("channels", [1, 3])
+@_MODES
+def test_reported_snr_equals_float_decode_across_clip_layouts(
+    tmp_path, rng, channels, mode, layout
+):
+    # the last block is no longer padded, is the only one, or some blocks
+    # hold no atoms
+    from tdcodec import parse_streams
+
+    samples = sparse_stereo_signal(rng, channels=channels)
+    if layout == "whole-blocks":
+        samples = samples[: (samples.shape[0] // NB) * NB]
+    elif layout == "single-block":
+        samples = samples[: NB - 17]
+    else:
+        samples[4 * NB : 9 * NB] = 0.0
+    header, qset = _check_reported_snr(tmp_path, samples, mode)
+    assert (header.block_count == 1) == (layout == "single-block")
+    assert (header.original_length % NB == 0) == (layout == "whole-blocks")
+    if layout == "silent-middle":
+        assert all(idx.size == 0 for idx, _ in parse_streams(qset)[4:9])
 
 
 def test_melodic_clip_matches_published_style_target(tmp_path, rng):
@@ -333,6 +366,20 @@ def test_dictionary_geometry_beyond_the_format_is_a_usage_error(tmp_path, wav_in
                 + flags)
     assert code == 2
     assert not out.exists()
+
+
+def test_short_blocks_in_the_largest_dictionary_round_trip(tmp_path, rng):
+    # half size 2^20 over 16-sample blocks is within the format's limits,
+    # so the encoder must take it and the decoder must read it back
+    path = tmp_path / "short.wav"
+    write_wav(path, MultichannelSignal(0.3 * rng.normal(size=(40, 1)), 8000))
+    out, dec = tmp_path / "o.tdc", tmp_path / "d.wav"
+    assert main(["encode", "--in", str(path), "--out", str(out), "--block", "16",
+                 "--redundancy", "131072", "--atoms", "20"]) == 0
+    assert main(["decode", "--in", str(out), "--out", str(dec)]) == 0
+    header, _ = read_tdc(out.read_bytes())
+    assert header.half_size == 1 << 20 and header.total_atoms == 20
+    assert snr(read_wav(path).samples, read_wav(dec).samples) > 3.0
 
 
 @pytest.mark.parametrize("redundancy", [3, 4])

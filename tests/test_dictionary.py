@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,23 @@ def test_normalizations_match_direct_sums():
             assert d.w_sin[n - 1] ** 2 == pytest.approx(
                 sin_norm2_direct(nb, m, n), abs=1e-9
             )
+
+
+def test_norms_of_a_huge_dictionary_over_short_blocks_are_exact():
+    # near x = pi a closed form with 1 - cos(2x) in its denominator cancels
+    # to negative squared norms; the norms must stay finite and exact
+    nb, m = 16, 1 << 20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = TrigDictionary(nb, m)
+    n = np.arange(1, m + 1)
+    cos2, sin2 = np.zeros(m), np.zeros(m)
+    for i in range(1, nb + 1):
+        cos2 += np.cos(np.pi * (2 * i - 1) * (n - 1) / (2 * m)) ** 2
+        sin2 += np.sin(np.pi * (2 * i - 1) * n / (2 * m)) ** 2
+    assert np.isfinite(d.w_cos).all() and np.isfinite(d.w_sin).all()
+    assert np.abs(d.w_cos - np.sqrt(cos2)).max() <= 1e-12
+    assert np.abs(d.w_sin - np.sqrt(sin2)).max() <= 1e-12
 
 
 def test_last_sine_normalization_uses_direct_sum():

@@ -343,8 +343,27 @@ def test_panel_refresh_keeps_long_runs_healthy(rng):
             break
         if accept_candidate(state, d):
             select_candidate(state, d, OOMP)
-    assert state.accepted >= 40 or state.saturated
+    assert state.atom_count >= 40 or state.saturated
     assert_state_invariants(state, d, block)
+
+
+@pytest.mark.parametrize("mode", ["budget", "snr"])
+def test_result_carries_each_blocks_factor_and_residual_energy(rng, mode):
+    # the encoder's error model reads these instead of rebuilding the atoms
+    d = TrigDictionary(16, 32)
+    blocks = random_blocks(rng, 4, 16, 2) + [np.zeros((16, 2))]
+    if mode == "budget":
+        res = hbw_pursuit(blocks, d, 20)
+    else:
+        res = pursuit_to_snr(blocks, d, 15.0)
+    for block, dec, r, energy in zip(
+        blocks, res.decompositions, res.factors, res.residual_energies
+    ):
+        atoms = d.atoms_matrix(dec.indices)
+        assert r.shape == (dec.atom_count,) * 2 and np.array_equal(np.triu(r), r)
+        assert np.allclose(r.T @ r, atoms @ atoms.T, rtol=0, atol=1e-12)
+        residual = block - atoms.T @ dec.coefficients
+        assert energy == pytest.approx(np.sum(residual**2), rel=1e-12, abs=1e-14)
 
 
 def test_snr_target_zero_returns_no_atoms(rng):
@@ -352,7 +371,7 @@ def test_snr_target_zero_returns_no_atoms(rng):
     blocks = random_blocks(rng, 2, 8, 2)
     res = pursuit_to_snr(blocks, d, 0.0)
     assert res.atom_count == 0
-    assert res.target_reached
+    assert not res.saturated
     assert res.snr_db == 0.0
 
 
@@ -366,7 +385,7 @@ def test_exactly_sparse_signal_reaches_noise_floor(rng):
             np.outer(d.atom(n1), c[0]) + np.outer(d.atom(n2), c[1])
         )
     res = pursuit_to_snr(blocks, d, 300.0)
-    assert res.target_reached
+    assert not res.saturated
     assert res.atom_count == 6
     # residual at the numeric floor reports the lossless sentinel
     assert res.snr_db >= 200.0
@@ -376,7 +395,7 @@ def test_running_snr_matches_from_scratch(rng):
     d = TrigDictionary(8, 16)
     blocks = random_blocks(rng, 3, 8, 2)
     res = pursuit_to_snr(blocks, d, 30.0)
-    assert res.target_reached
+    assert not res.saturated
     assert res.snr_db >= 30.0
     fresh = snr(np.vstack(blocks), reconstruct(d, res))
     assert res.snr_db == pytest.approx(fresh, abs=1e-6)
@@ -398,7 +417,7 @@ def test_target_beyond_cap_stops_at_lossless_sentinel(rng):
     d = TrigDictionary(4, 8)
     blocks = [rng.normal(size=(4, 1))]
     res = pursuit_to_snr(blocks, d, 500.0)
-    assert res.target_reached
+    assert not res.saturated
     assert res.atom_count == 4
     assert res.snr_db == 200.0
 
@@ -417,7 +436,6 @@ def test_saturation_before_target_is_flagged(monkeypatch, rng):
 
     monkeypatch.setattr(pu, "rank_blocks", exhausted_after_three)
     res = pu.pursuit_to_snr(blocks, d, 100.0)
-    assert not res.target_reached
     assert res.saturated
     assert res.atom_count == 3
     assert res.snr_db < 100.0

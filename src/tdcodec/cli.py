@@ -73,6 +73,14 @@ class TargetUnreachableError(Exception):
 
 @dataclass
 class EncodeConfig:
+    """Settings of one encode.
+
+    ``threads`` asks for pursuit worker processes: each pursues its own
+    share of the blocks, at most one per core and per block
+    (``pursuit.worker_count``), and 1 pursues in this process.  The file
+    does not depend on it.
+    """
+
     input_path: str
     output_path: str
     block_size: int = 1024
@@ -432,7 +440,11 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--redundancy", type=int, default=4)
     enc.add_argument("--criterion", choices=sorted(_CRITERIA), default="oomp")
     enc.add_argument("--overshoot", type=float, default=3.0)
-    enc.add_argument("--threads", type=int, default=1)
+    enc.add_argument(
+        "--threads", type=int, default=1,
+        help="pursuit worker processes, at most one per core and per block "
+        "(default 1: pursue in this process); the file does not depend on it",
+    )
 
     dec = sub.add_parser("decode", help="decode a .tdc file to WAV")
     dec.add_argument("--in", dest="input", required=True)

@@ -153,8 +153,37 @@ class TdcHeader:
 
 # --- WAV ------------------------------------------------------------------
 
+# WAVE_FORMAT_EXTENSIBLE names its encoding by a GUID: the plain format tag
+# in its first two bytes, then this fixed tail
+_EXTENSIBLE = 0xFFFE
+_SUBFORMAT_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+_WAV_CHUNK_VALUES = 8192   # samples per conversion step of write_wav
+
+
+def _pcm16(payload: bytes) -> np.ndarray:
+    return np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
+
+
+def _pcm24(payload: bytes) -> np.ndarray:
+    # each sample as the top three bytes of an int32, so its sign carries
+    wide = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
+    wide[:, 1:] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+    return wide.view("<i4")[:, 0] / 2147483648.0
+
+
+def _float32(payload: bytes) -> np.ndarray:
+    return np.frombuffer(payload, dtype="<f4").astype(np.float64)
+
+
+_WAV_DECODERS = {(1, 16): _pcm16, (1, 24): _pcm24, (3, 32): _float32}   # (tag, bits)
+
+
 def read_wav(path) -> MultichannelSignal:
-    """Read a RIFF/WAVE file (16-bit PCM or 32-bit IEEE float)."""
+    """Read a RIFF/WAVE file: 16- or 24-bit PCM or 32-bit IEEE float.
+
+    The fmt chunk may be plain or ``WAVE_FORMAT_EXTENSIBLE`` with the PCM or
+    IEEE-float sub-format; PCM is scaled to [-1, 1).
+    """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise FormatError("not a RIFF/WAVE file")
@@ -170,28 +199,45 @@ def read_wav(path) -> MultichannelSignal:
         if cid == b"fmt ":
             if csize < 16:
                 raise FormatError("fmt chunk too short")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = body
         elif cid == b"data":
             payload = body
         pos += 8 + csize + (csize & 1)
     if fmt is None or payload is None:
         raise FormatError("missing fmt or data chunk")
-    audio_format, channels, sample_rate, _rate, _align, bits = fmt
+    audio_format, channels, sample_rate, _rate, align, bits = struct.unpack_from(
+        "<HHIIHH", fmt, 0
+    )
     if channels < 1:
         raise FormatError("channel count must be >= 1")
-    if audio_format == 1 and bits == 16:
-        width = 2
-        raw = np.frombuffer(_framed(payload, channels * width), dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
-    elif audio_format == 3 and bits == 32:
-        width = 4
-        raw = np.frombuffer(_framed(payload, channels * width), dtype="<f4")
-        samples = raw.astype(np.float64)
-    else:
+    if audio_format == _EXTENSIBLE:
+        audio_format = _sub_format(fmt)
+    decode = _WAV_DECODERS.get((audio_format, bits))
+    if decode is None:
         raise FormatError(
             f"unsupported WAV encoding (format {audio_format}, {bits}-bit)"
         )
+    if align != channels * bits // 8:
+        raise FormatError(
+            f"block align {align} does not hold {channels} channels of {bits} bits"
+        )
+    samples = decode(_framed(payload, align))
     return MultichannelSignal(samples.reshape(-1, channels), sample_rate)
+
+
+def _sub_format(fmt: bytes) -> int:
+    """The plain format tag inside a ``WAVE_FORMAT_EXTENSIBLE`` fmt chunk."""
+    if len(fmt) < 18:
+        raise FormatError("extensible fmt chunk has no extension size")
+    (extension,) = struct.unpack_from("<H", fmt, 16)
+    if extension < 22:
+        raise FormatError(f"extensible fmt extension of {extension} bytes, need 22")
+    if len(fmt) < 18 + extension:
+        raise FormatError("extensible fmt chunk shorter than its extension")
+    (tag,) = struct.unpack_from("<H", fmt, 24)
+    if fmt[26:40] != _SUBFORMAT_TAIL or tag not in (1, 3):
+        raise FormatError(f"unknown WAV sub-format {fmt[24:40].hex()}")
+    return tag
 
 
 def _framed(payload: bytes, frame: int) -> bytes:
@@ -201,7 +247,12 @@ def _framed(payload: bytes, frame: int) -> bytes:
 
 
 def write_wav(path, signal: MultichannelSignal) -> None:
-    """Write 16-bit PCM, rounding half away from zero and clipping."""
+    """Write 16-bit PCM, rounding half away from zero and clipping.
+
+    Samples are converted ``_WAV_CHUNK_VALUES`` at a time: small float
+    temporaries are reused by the allocator, where whole-clip ones fault in
+    fresh pages on every call once the process heap is small.
+    """
     n_channels = signal.samples.shape[1]
     if signal.samples.size * 2 > WAV_MAX_DATA_BYTES:
         raise FormatError(
@@ -213,16 +264,19 @@ def write_wav(path, signal: MultichannelSignal) -> None:
             f"{n_channels} channels at {signal.sample_rate} Hz overflow the WAV "
             "fmt fields"
         )
-    with np.errstate(over="ignore"):   # +-inf clips to full scale below
-        x = np.asarray(signal.samples, dtype=float) * 32768.0
-    q = np.abs(x)
-    q += 0.5
-    np.floor(q, out=q)
-    np.copysign(q, x, out=q)
-    np.clip(q, -32768, 32767, out=q)
-    pcm = q.astype("<i2")
-    body = pcm.tobytes()
-    header = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
+    samples = signal.samples
+    pcm = np.empty(samples.shape, dtype="<i2")
+    step = max(1, _WAV_CHUNK_VALUES // n_channels)
+    for i in range(0, len(samples), step):
+        with np.errstate(over="ignore"):   # +-inf clips to full scale below
+            x = np.asarray(samples[i : i + step], dtype=float) * 32768.0
+        q = np.abs(x)
+        q += 0.5
+        np.floor(q, out=q)
+        np.copysign(q, x, out=q)
+        np.clip(q, -32768, 32767, out=q)
+        pcm[i : i + step] = q
+    header = b"RIFF" + struct.pack("<I", 36 + pcm.nbytes) + b"WAVE"
     header += b"fmt " + struct.pack(
         "<IHHIIHH",
         16,
@@ -233,8 +287,10 @@ def write_wav(path, signal: MultichannelSignal) -> None:
         n_channels * 2,
         16,
     )
-    header += b"data" + struct.pack("<I", len(body))
-    Path(path).write_bytes(header + body)
+    header += b"data" + struct.pack("<I", pcm.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(pcm)
 
 
 # --- partitioning ----------------------------------------------------------

@@ -21,11 +21,24 @@ full panel and updated incrementally on each acceptance; panels are
 recomputed from the residual every ``REFRESH_INTERVAL`` acceptances to
 bound drift.  The first panels of all blocks come from batched FFTs, one
 call per chunk of blocks, bit-identical to one block's own.
+
+A block's pursuit never reads another block, so with ``threads > 1``
+the blocks are dealt round-robin to forked worker processes (block ``q``
+to worker ``q mod P``, ``P`` from ``worker_count``).  Each worker runs the
+same loop on its own blocks and streams every pick: the block, the gain
+it was ranked by, whether its atom was accepted, and the block's residual
+energy.  The serial pick is always the best head of some worker's stream,
+so the parent replays the serial order exactly by merging the heads,
+applies the budget or SNR stop, and the workers cut every block that ran
+ahead back to the atom count the merge kept.  The output does not depend
+on ``threads``.  With ``threads == 1`` the loop runs in process: one
+forked worker adds its messages and a cold process to the same work.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -46,12 +59,15 @@ __all__ = [
     "compute_coefficients",
     "hbw_pursuit",
     "pursuit_to_snr",
+    "worker_count",
 ]
 
 DEPENDENCY_FLOOR = 1e-10   # atoms with 1 - S_n at or below this are in-span
 ORTHO_TOL = 1e-10
 REFRESH_INTERVAL = 32
 INITIAL_CAPACITY = 8       # rows of ``w`` before the first doubling
+LOOKAHEAD = 256            # picks a worker may make ahead of the merge
+PICK_BATCH = 16            # picks per message from a worker to the merge
 
 
 class SelectionCriterion(Enum):
@@ -314,65 +330,125 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
     return True
 
 
-def compute_coefficients(state: BlockState, block) -> np.ndarray:
-    """Decomposition coefficients of the finished block: ``r c = w f``."""
+def compute_coefficients(
+    state: BlockState, block, atoms: int | None = None
+) -> np.ndarray:
+    """Coefficients of the block's first ``atoms`` atoms (default all): ``r c = w f``.
+
+    A prefix needs nothing more: the first rows of ``w`` and ``r`` do not
+    change as later atoms arrive.
+    """
     block = _as_block(block)
-    k = len(state.selected)
+    k = len(state.selected) if atoms is None else atoms
     if not k:
         return np.zeros((0, block.shape[1]))
     return np.linalg.solve(state.r[:k, :k], state.w[:k] @ block)
 
 
-def _init_states(blocks, dico, criterion, threads):
-    """Initial states of all blocks, their panels from batched FFTs.
+def worker_count(threads: int, block_count: int) -> int:
+    """Pursuit worker processes for ``threads``: at most one per core and per block.
+
+    Workers are forked, so a platform without ``fork`` pursues in process.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(threads, os.cpu_count() or 1, block_count))
+
+
+def _init_states(blocks, dico, criterion):
+    """Initial states of ``blocks``, their panels from batched FFTs.
 
     Blocks go in chunks of at most ``FFT_CHUNK_BINS`` half-spectrum bins;
     each chunk's panels come from one ``all_inner_products`` call on the
     stacked channels, and every state gets a column-major ``(2M, L)`` view
-    of its own.  With ``threads > 1`` a pool maps the chunks.
+    of its own.
     """
-    blocks = [_check_block(b, dico) for b in blocks]
     if not blocks:
         return []
     per_chunk = max(1, FFT_CHUNK_BINS // (blocks[0].shape[1] * (dico.half_size + 1)))
-
-    def init_chunk(chunk):
+    states = []
+    for i in range(0, len(blocks), per_chunk):
+        chunk = blocks[i : i + per_chunk]
         panels = dico.all_inner_products(np.stack(chunk).transpose(0, 2, 1))
-        return [
+        states += [
             init_block_state(b, dico, criterion, res_ip=p.T)
             for b, p in zip(chunk, panels)
         ]
-
-    chunks = [blocks[i : i + per_chunk] for i in range(0, len(blocks), per_chunk)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(init_chunk, chunks))
-    else:
-        done = [init_chunk(c) for c in chunks]
-    return [state for chunk in done for state in chunk]
+    return states
 
 
-def _result(states: list[BlockState], atom_count, saturated, **report):
-    decompositions = [
-        AtomicDecomposition(
-            indices=np.asarray(st.selected, dtype=np.int64),
-            coefficients=compute_coefficients(st, st.block),
-        )
-        for st in states
-    ]
-    factors = [st.r[: st.atom_count, : st.atom_count] for st in states]
-    energies = np.array([float(np.sum(np.square(st.residual))) for st in states])
+def _energy(state: BlockState) -> float:
+    """The block's residual energy, summed over channels."""
+    return float(np.sum(np.square(state.residual)))
+
+
+def _finish(state: BlockState, k: int, energy: float):
+    """``(decomposition, factor, residual energy)`` of the block's first ``k`` atoms."""
+    decomposition = AtomicDecomposition(
+        indices=np.asarray(state.selected[:k], dtype=np.int64),
+        coefficients=compute_coefficients(state, state.block, k),
+    )
+    return decomposition, state.r[:k, :k], energy
+
+
+def _unpursued(block: np.ndarray):
+    """The ``_finish`` triple of a block that gets no atoms."""
+    empty = AtomicDecomposition(
+        indices=np.empty(0, dtype=np.int64), coefficients=np.zeros((0, block.shape[1]))
+    )
+    return empty, np.zeros((0, 0)), float(np.sum(np.square(block)))
+
+
+def _result(parts, saturated: bool, **report) -> PursuitResult:
+    decompositions = [dec for dec, _, _ in parts]
     return PursuitResult(
-        decompositions, atom_count, saturated, factors, energies, **report
+        decompositions,
+        sum(dec.atom_count for dec in decompositions),
+        saturated,
+        [factor for _, factor, _ in parts],
+        np.array([energy for _, _, energy in parts]),
+        **report,
     )
 
 
-def _pursue(states, dico, stop) -> bool:
-    """Upgrade the best-ranked block, one atom at a time, until ``stop``.
+class _Budget:
+    """Stop rule: the ``budget``-th accepted atom ends the pursuit."""
 
-    ``stop(q)`` is called after every atom accepted into block ``q`` and
-    returns True to end the pursuit.  Returns True when the partition
-    saturated before ``stop`` did.
+    def __init__(self, budget: int):
+        self.left = budget
+
+    def __call__(self, q: int, energy) -> bool:
+        self.left -= 1
+        return self.left <= 0
+
+
+class _SnrTarget:
+    """Stop rule: the first atom whose running SNR reaches ``target`` ends it.
+
+    ``energy()`` is block ``q``'s residual energy after its new atom; the
+    running SNR sums the per-block energies, so it matches a from-scratch
+    residual computation to numerical accuracy.  ``trace`` keeps it.
+    """
+
+    def __init__(self, energies: np.ndarray, target: float):
+        self.residual = energies.copy()
+        self.signal = float(energies.sum())
+        self.target = target
+        self.trace: list[float] = []
+
+    def __call__(self, q: int, energy) -> bool:
+        self.residual[q] = energy()
+        self.trace.append(snr_from_energies(self.signal, float(self.residual.sum())))
+        return self.trace[-1] >= self.target
+
+
+def _pursue(states, dico, pick) -> bool:
+    """Upgrade the best-ranked block, one atom at a time, until ``pick`` ends it.
+
+    ``pick(q, gain, accepted)`` is called after every pick of block ``q``,
+    with the gain it was ranked by, whether or not its atom was accepted;
+    it returns True to end the pursuit.  Returns True when the states
+    saturated before ``pick`` ended it.
     """
     gains = np.array([st.gain for st in states])
     while True:
@@ -380,11 +456,229 @@ def _pursue(states, dico, stop) -> bool:
         if q is None:
             return True
         state = states[q]
-        if accept_candidate(state, dico):
-            if stop(q):
-                return False
+        accepted = accept_candidate(state, dico)
+        if pick(q, float(gains[q]), accepted):
+            return False
+        if accepted:
             select_candidate(state, dico, state.criterion)
         gains[q] = state.gain
+
+
+def _pursue_in_process(blocks, dico, criterion, stop):
+    states = _init_states(blocks, dico, criterion)
+
+    def pick(q, _gain, accepted):
+        return accepted and stop(q, lambda: _energy(states[q]))
+
+    saturated = _pursue(states, dico, pick)
+    return saturated, [_finish(st, st.atom_count, _energy(st)) for st in states]
+
+
+class _ShardLink:
+    """A worker's end of its pipe to the merge.
+
+    Picks go out in batches of ``PICK_BATCH``, since every message wakes
+    the merging parent.  The merge answers with credits, the number of
+    picks the worker may have made, so that it runs at most ``LOOKAHEAD``
+    picks ahead of the merge, and at its stop with the atom count it kept
+    for each of the worker's blocks.
+    """
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.batch = []
+        self.made = 0
+        self.credit = LOOKAHEAD
+        self.counts = None
+
+    def pick(self, event) -> bool:
+        """Queue one pick; True once the merge has sent the final counts."""
+        self.batch.append(event)
+        self.made += 1
+        if len(self.batch) >= PICK_BATCH or self.made >= self.credit:
+            self.flush()
+            while self.counts is None and (
+                self.made >= self.credit or self.conn.poll()
+            ):
+                self._read()
+        return self.counts is not None
+
+    def flush(self, ended: bool = False) -> None:
+        self.conn.send(("picks", self.batch, ended))
+        self.batch = []
+
+    def final_counts(self) -> list[int]:
+        while self.counts is None:
+            self._read()
+        return self.counts
+
+    def _read(self) -> None:
+        message = self.conn.recv()
+        if isinstance(message, int):
+            self.credit = message
+        else:
+            self.counts = message
+
+
+def _shard_worker(index, pipes, shard, dico, criterion):
+    """Worker process: pursue ``shard`` and stream every pick to the merge.
+
+    A pick is ``(local block, gain, accepted, residual energy)``; the last
+    batch is marked as the end of the stream when the shard saturates.
+    When the merge stops, the worker truncates every block to the atom
+    count the merge kept and sends the ``_finish`` triples; a failure
+    sends its traceback in their place.
+    """
+    conn = pipes[index][1]
+    for pair in pipes:
+        for end in pair:
+            if end is not conn:
+                end.close()
+    try:
+        states = _init_states(shard, dico, criterion)
+        energies = [[_energy(st)] for st in states]   # one more per atom
+        link = _ShardLink(conn)
+
+        def pick(q, gain, accepted):
+            if accepted:
+                energies[q].append(_energy(states[q]))
+            return link.pick((q, gain, accepted, energies[q][-1]))
+
+        if _pursue(states, dico, pick):
+            link.flush(ended=True)
+        counts = link.final_counts()
+        parts = [_finish(st, k, e[k]) for st, k, e in zip(states, counts, energies)]
+        conn.send(("results", parts))
+    except Exception:
+        import traceback   # a failing worker only: keeps the package import light
+
+        conn.send(("failed", traceback.format_exc()))
+    finally:
+        conn.close()
+
+
+def _receive(conn):
+    """A worker's next message; raises if the worker failed or is gone."""
+    try:
+        message = conn.recv()
+    except EOFError:
+        raise RuntimeError("a pursuit worker exited without its results") from None
+    if message[0] == "failed":
+        raise RuntimeError(f"a pursuit worker failed:\n{message[1]}")
+    return message
+
+
+class _Stream:
+    """The merge's view of one worker: its picks not yet merged."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.picks = deque()
+        self.ended = False
+        self.taken = 0
+
+    def head(self):
+        """The worker's next pick, or None once its stream has ended."""
+        while not self.picks and not self.ended:
+            _, picks, self.ended = _receive(self.conn)
+            self.picks.extend(picks)
+        return self.picks[0] if self.picks else None
+
+    def take(self) -> None:
+        self.picks.popleft()
+        self.taken += 1
+        if self.taken % (LOOKAHEAD // 2) == 0:
+            self.conn.send(self.taken + LOOKAHEAD)
+
+    def results(self, counts: list[int]):
+        """Send the kept atom counts; the worker's truncated block results."""
+        self.conn.send(counts)
+        while True:
+            message = _receive(self.conn)
+            if message[0] == "results":
+                return message[1]
+
+
+def _merge(streams: list[_Stream], block_count: int, stop):
+    """Replay the serial pick order from the workers' streams until ``stop``.
+
+    Worker ``w`` holds blocks ``w, w + P, ...``.  The serial loop picks the
+    block with the largest gain, the lower block index on a tie, and a pick
+    changes only its own block; so the serial pick is always the head of
+    some worker's stream, and taking the best head, by gain and then global
+    block index, replays the serial order exactly, ties included.  Rejected
+    picks are merged too: they rank with their own gain, not their
+    replacement's.  Returns whether every stream ended before ``stop`` did,
+    and the atom count of every block.
+    """
+    workers = len(streams)
+    counts = np.zeros(block_count, dtype=np.int64)
+    while True:
+        best = None
+        for w, stream in enumerate(streams):
+            head = stream.head()
+            if head is not None and (
+                best is None
+                or head[1] > best[1]
+                or head[1] == best[1] and head[0] * workers + w < best[0]
+            ):
+                best = (head[0] * workers + w, head[1], w)
+        if best is None:
+            return True, counts
+        g, _, w = best
+        _, _, accepted, energy = streams[w].picks[0]
+        streams[w].take()
+        if accepted:
+            counts[g] += 1
+            if stop(g, lambda: energy):
+                return False, counts
+
+
+def _pursue_in_workers(blocks, dico, criterion, stop, workers):
+    # imported here only: the import costs every start-up ~10 ms
+    import multiprocessing
+
+    # fork: the workers share the blocks and the imported codec with this
+    # process instead of pickling and importing them again (the codec
+    # starts no threads that a fork could catch holding a lock)
+    ctx = multiprocessing.get_context("fork")
+    pipes = [ctx.Pipe() for _ in range(workers)]
+    procs = []
+    done = False
+    try:
+        for w in range(workers):
+            proc = ctx.Process(
+                target=_shard_worker,
+                args=(w, pipes, blocks[w::workers], dico, criterion),
+                daemon=True,
+            )
+            proc.start()
+            procs.append(proc)
+        for _, child in pipes:
+            child.close()
+        streams = [_Stream(parent) for parent, _ in pipes]
+        saturated, counts = _merge(streams, len(blocks), stop)
+        parts = [None] * len(blocks)
+        for w, stream in enumerate(streams):
+            parts[w::workers] = stream.results(counts[w::workers].tolist())
+        done = True
+        return saturated, parts
+    finally:
+        for proc in procs:
+            if not done:
+                proc.terminate()
+            proc.join()
+        for pair in pipes:
+            for end in pair:
+                end.close()
+
+
+def _pursue_blocks(blocks, dico, criterion, stop, threads):
+    """``(saturated, per-block _finish triples)`` of the pursuit under ``stop``."""
+    workers = worker_count(threads, len(blocks))
+    if workers == 1:
+        return _pursue_in_process(blocks, dico, criterion, stop)
+    return _pursue_in_workers(blocks, dico, criterion, stop, workers)
 
 
 def hbw_pursuit(
@@ -397,23 +691,18 @@ def hbw_pursuit(
     """Distribute ``budget`` atoms over the partition, one upgrade at a time.
 
     Every step ranks the per-block candidates and upgrades the winner
-    only; results are deterministic (and thread-count independent)
-    because ties break to the smallest atom and block indices.  A budget
-    beyond what the partition can absorb returns at saturation with the
-    ``saturated`` flag set rather than raising.
+    only; results are deterministic, and independent of ``threads`` (see
+    ``worker_count``), because ties break to the smallest atom and block
+    indices.  A budget beyond what the partition can absorb returns at
+    saturation with the ``saturated`` flag set rather than raising.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    states = _init_states(blocks, dico, criterion, threads)
-    accepted = 0
-
-    def spent(_q):
-        nonlocal accepted
-        accepted += 1
-        return accepted >= budget
-
-    saturated = budget > 0 and _pursue(states, dico, spent)
-    return _result(states, accepted, saturated)
+    blocks = [_check_block(b, dico) for b in blocks]
+    if budget == 0:
+        return _result([_unpursued(b) for b in blocks], saturated=False)
+    saturated, parts = _pursue_blocks(blocks, dico, criterion, _Budget(budget), threads)
+    return _result(parts, saturated)
 
 
 def pursuit_to_snr(
@@ -433,46 +722,21 @@ def pursuit_to_snr(
     """
     if not np.isfinite(target_snr_db):
         raise ValueError("target SNR must be finite")
+    blocks = [_check_block(b, dico) for b in blocks]
+    energies = np.array([float(np.sum(np.square(b))) for b in blocks])
+    if float(energies.sum()) <= 0:
+        raise ValueError("zero signal has no SNR")
     # SNR reports cap at the lossless-at-tolerance sentinel, so a target
     # beyond the cap means "run until the residual hits the noise floor".
     effective_target = min(target_snr_db, SNR_CAP_DB)
-    energies = np.array([float(np.sum(np.square(_as_block(b)))) for b in blocks])
-    signal_energy = float(energies.sum())
-    if signal_energy <= 0:
-        raise ValueError("zero signal has no SNR")
-
     if effective_target <= 0.0:   # zero atoms leave the residual equal to the signal
-        empties = [
-            AtomicDecomposition(
-                indices=np.empty(0, dtype=np.int64),
-                coefficients=np.zeros((0, _as_block(b).shape[1])),
-            )
-            for b in blocks
-        ]
-        return PursuitResult(
-            empties,
-            0,
-            saturated=False,
-            factors=[np.zeros((0, 0)) for _ in blocks],
-            residual_energies=energies,
-            snr_db=0.0,
-            snr_trace=np.empty(0),
-        )
-
-    states = _init_states(blocks, dico, criterion, threads)
-    residual_energy = energies.copy()
-    trace: list[float] = []
-
-    def reached(q):
-        residual_energy[q] = float(np.sum(np.square(states[q].residual)))
-        trace.append(snr_from_energies(signal_energy, float(residual_energy.sum())))
-        return trace[-1] >= effective_target
-
-    saturated = _pursue(states, dico, reached)
+        parts = [_unpursued(b) for b in blocks]
+        return _result(parts, saturated=False, snr_db=0.0, snr_trace=np.empty(0))
+    stop = _SnrTarget(energies, effective_target)
+    saturated, parts = _pursue_blocks(blocks, dico, criterion, stop, threads)
     return _result(
-        states,
-        len(trace),
+        parts,
         saturated,
-        snr_db=trace[-1] if trace else 0.0,
-        snr_trace=np.asarray(trace),
+        snr_db=stop.trace[-1] if stop.trace else 0.0,
+        snr_trace=np.asarray(stop.trace),
     )

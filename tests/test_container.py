@@ -119,6 +119,80 @@ def test_unsupported_wav_is_rejected(tmp_path):
         read_wav(path)
 
 
+_PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
+_FLOAT_GUID = bytes.fromhex("0300000000001000800000aa00389b71")
+
+
+def _wav_bytes(channels, bits, body, *, tag=1, align=None, extensible=None):
+    """A hand-built RIFF/WAVE file; ``extensible`` is ``(cbSize, sub-format)``
+    for a ``WAVE_FORMAT_EXTENSIBLE`` fmt chunk, whose extension stops after
+    cbSize when the sub-format is None."""
+    align = channels * bits // 8 if align is None else align
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, 8000,
+                      8000 * align, align, bits)
+    if extensible is not None:
+        cb_size, guid = extensible
+        fmt += struct.pack("<H", cb_size)
+        if guid is not None:
+            fmt += struct.pack("<HI", bits, 0) + guid
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    chunks += b"data" + struct.pack("<I", len(body)) + body
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def _int24_bytes(ints):
+    return ints.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+
+
+@pytest.mark.parametrize("extensible", [None, (22, _PCM_GUID)])
+def test_24bit_pcm_wav_reads_exactly(tmp_path, rng, extensible):
+    ints = rng.integers(-(2**23), 2**23, size=(50, 3))
+    ints[0] = [-(2**23), 2**23 - 1, 0]
+    path = tmp_path / "p24.wav"
+    path.write_bytes(_wav_bytes(3, 24, _int24_bytes(ints), extensible=extensible))
+    sig = read_wav(path)
+    assert sig.sample_rate == 8000
+    assert np.array_equal(sig.samples, ints / 2.0**23)
+
+
+@pytest.mark.parametrize("bits, tag, guid, dtype", [
+    (16, 1, _PCM_GUID, "<i2"),
+    (32, 3, _FLOAT_GUID, "<f4"),
+])
+def test_extensible_wav_reads_like_the_plain_one(tmp_path, rng, bits, tag, guid,
+                                                 dtype):
+    values = rng.uniform(-0.9, 0.9, size=(40, 2))
+    if dtype == "<i2":
+        values = np.round(values * 32768)
+    body = values.astype(dtype).tobytes()
+    plain, ext = tmp_path / "plain.wav", tmp_path / "ext.wav"
+    plain.write_bytes(_wav_bytes(2, bits, body, tag=tag))
+    ext.write_bytes(_wav_bytes(2, bits, body, extensible=(22, guid)))
+    want, got = read_wav(plain), read_wav(ext)
+    assert got.sample_rate == want.sample_rate
+    assert np.array_equal(got.samples, want.samples)
+
+
+@pytest.mark.parametrize("wav", [
+    _wav_bytes(2, 16, bytes(8), extensible=(0, None)),          # cbSize < 22
+    _wav_bytes(2, 16, bytes(8), extensible=(21, _PCM_GUID)),
+    _wav_bytes(2, 16, bytes(8), extensible=(30, _PCM_GUID)),    # past the chunk
+    _wav_bytes(2, 16, bytes(8), extensible=(22, bytes(16))),    # unknown GUID
+    _wav_bytes(2, 16, bytes(8), extensible=(22, b"\x02" + _PCM_GUID[1:])),
+    _wav_bytes(2, 16, bytes(8), align=2),                       # bits vs align
+    _wav_bytes(1, 24, bytes(12), align=4, extensible=(22, _PCM_GUID)),
+], ids=["cbsize-0", "cbsize-21", "cbsize-past-chunk", "guid", "adpcm",
+        "align-16bit", "align-24bit"])
+def test_malformed_wav_fmt_is_refused_with_exit_3(tmp_path, wav):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(wav)
+    with pytest.raises(FormatError):
+        read_wav(path)
+    code = main(["encode", "--in", str(path), "--out", str(tmp_path / "x.tdc"),
+                 "--atoms", "4", "--block", "4"])
+    assert code == 3
+
+
 def test_non_riff_is_rejected(tmp_path):
     path = tmp_path / "junk.wav"
     path.write_bytes(b"not a wav at all")

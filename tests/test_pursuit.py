@@ -1,3 +1,11 @@
+import contextlib
+import io
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +22,7 @@ from tdcodec import (
     snr,
     synthesize_block,
 )
+from tdcodec import pursuit
 from tdcodec.pursuit import BlockState
 
 from conftest import assert_state_invariants, random_blocks
@@ -309,28 +318,29 @@ def test_pursuit_is_deterministic_across_threads(rng):
 
 
 @pytest.mark.parametrize("chunk_bins", [1, 100, 1 << 16])
-@pytest.mark.parametrize("threads", [1, 2])
-def test_batched_initial_panels_match_one_block_states(rng, monkeypatch, threads,
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_batched_initial_panels_match_one_block_states(rng, monkeypatch, workers,
                                                        chunk_bins):
-    # every block's initial panel comes from a chunked batch FFT; it must
-    # equal, bit for bit, the panel one block computes on its own, so the
-    # first candidates and gains (and every selection after them) match
-    from tdcodec import pursuit
-
+    # each worker takes blocks w, w + P, ... and computes their initial
+    # panels from chunked batch FFTs; every panel must equal, bit for bit,
+    # the one a block computes on its own, so the first candidates and
+    # gains (and every selection after them) match
     monkeypatch.setattr(pursuit, "FFT_CHUNK_BINS", chunk_bins)
     d = TrigDictionary(16, 32)
     blocks = random_blocks(rng, 9, 16, 3)
     blocks[4] = np.zeros((16, 3))    # silent
-    states = pursuit._init_states(blocks, d, OOMP, threads)
-    assert len(states) == len(blocks)
-    for st, b in zip(states, blocks):
-        alone = init_block_state(b, d, OOMP)
-        assert np.array_equal(st.res_ip, alone.res_ip)
-        assert st.res_ip.flags.f_contiguous
-        assert st.candidate == alone.candidate
-        assert st.gain == alone.gain
-        assert st.saturated == alone.saturated
-    assert states[4].saturated
+    for w in range(workers):
+        shard = blocks[w::workers]
+        states = pursuit._init_states(shard, d, OOMP)
+        assert len(states) == len(shard)
+        for st, b in zip(states, shard):
+            alone = init_block_state(b, d, OOMP)
+            assert np.array_equal(st.res_ip, alone.res_ip)
+            assert st.res_ip.flags.f_contiguous
+            assert st.candidate == alone.candidate
+            assert st.gain == alone.gain
+            assert st.saturated == alone.saturated
+            assert st.saturated == (b is blocks[4])
 
 
 def test_panel_refresh_keeps_long_runs_healthy(rng):
@@ -465,3 +475,224 @@ def test_monotone_residual_reduction(rng):
         assert cur < last
         last = cur
         select_candidate(state, d, OOMP)
+
+
+# --- worker processes --------------------------------------------------------
+
+
+def test_worker_count_is_bounded_by_cores_and_blocks(monkeypatch):
+    import multiprocessing
+
+    # worked out before anything is started, so a huge request starts nothing
+    cores = os.cpu_count() or 1
+    assert pursuit.worker_count(100_000, 10**9) == cores
+    assert pursuit.worker_count(100_000, 3) == min(cores, 3)
+    assert pursuit.worker_count(1, 50) == 1
+    assert pursuit.worker_count(4, 0) == 1
+    monkeypatch.setattr(pursuit.os, "cpu_count", lambda: None)
+    assert pursuit.worker_count(100_000, 50) == 1
+    assert multiprocessing.active_children() == []
+
+
+def _one_worker_per_thread(monkeypatch):
+    # the replay is compared at more workers than the machine may have cores
+    monkeypatch.setattr(
+        pursuit, "worker_count", lambda threads, blocks: max(1, min(threads, blocks))
+    )
+
+
+def _rejecting(rule, tally):
+    """``accept_candidate`` that finds the atoms ``rule`` picks in the span.
+
+    Such an atom goes the way of a dependency rejection: it is excluded and
+    the block selects a fresh candidate, whose gain differs.  A natural
+    rejection needs rounding that no small fixture shows.
+    """
+    real = pursuit.accept_candidate
+
+    def accept(state, dico):
+        if rule(state, state.candidate[0]):
+            tally["rejections"] += 1
+            state.blocked[state.candidate[0] - 1] = True
+            pursuit.select_candidate(state, dico, state.criterion)
+            return False
+        return real(state, dico)
+
+    return accept
+
+
+def _noting_run_ahead(real):
+    def finish(state, k, energy):
+        dec, factor, e = real(state, k, energy)
+        dec.ran_ahead = state.atom_count - k   # pickled with the decomposition
+        return dec, factor, e
+
+    return finish
+
+
+def _replay_case(case, rng):
+    """``(dico, blocks, rejection rule, budget, SNR target)`` of one fixture."""
+    if case == "saturating":
+        # every atom after a block's third is rejected: both stops saturate;
+        # at three workers, worker 1 holds only silent blocks
+        blocks = random_blocks(rng, 5, 4, 2)
+        blocks[1] = blocks[4] = np.zeros((4, 2))
+        rule = lambda st, n: len(st.selected) >= 3   # noqa: E731
+        return TrigDictionary(4, 8), blocks, rule, 10**6, 500.0
+    blocks = random_blocks(rng, 7, 16, 2)
+    blocks[5] = np.zeros((16, 2))
+    # equal blocks tie at every step; the lower block index goes first, and
+    # at two and three workers it is not always the lower worker's
+    blocks[2] = blocks[1].copy()
+    blocks[3] = blocks[1].copy()
+    if case == "loud-block":
+        # block 4 holds nearly all the energy, so both stops end inside its
+        # opening run of picks, which its worker has computed ahead
+        blocks[4] *= 30.0
+        return TrigDictionary(16, 32), blocks, None, 8, 12.0
+    rule = (lambda st, n: st.selected and n % 5 == 0) if case == "rejecting" else None
+    return TrigDictionary(16, 32), blocks, rule, 40, 25.0
+
+
+@pytest.mark.parametrize("criterion", list(SelectionCriterion))
+@pytest.mark.parametrize("mode", ["budget", "snr"])
+@pytest.mark.parametrize("case", ["mixed", "loud-block", "rejecting", "saturating"])
+def test_worker_processes_replay_the_serial_pursuit_exactly(rng, monkeypatch, case,
+                                                            mode, criterion):
+    d, blocks, rule, budget, target = _replay_case(case, rng)
+    _one_worker_per_thread(monkeypatch)
+    tally = {"rejections": 0}
+    if rule is not None:
+        monkeypatch.setattr(pursuit, "accept_candidate", _rejecting(rule, tally))
+    monkeypatch.setattr(pursuit, "_finish", _noting_run_ahead(pursuit._finish))
+
+    def run(threads):
+        if mode == "budget":
+            return hbw_pursuit(blocks, d, budget, criterion, threads=threads)
+        return pursuit_to_snr(blocks, d, target, criterion, threads=threads)
+
+    serial = run(1)
+    assert serial.atom_count > 0
+    assert serial.saturated == (case == "saturating")
+    assert (tally["rejections"] > 0) == (rule is not None)   # counted in process
+    for threads in (2, 3):
+        res = run(threads)
+        assert res.atom_count == serial.atom_count
+        assert res.saturated == serial.saturated
+        assert res.snr_db == serial.snr_db
+        if mode == "snr":
+            assert np.array_equal(res.snr_trace, serial.snr_trace)
+        else:
+            assert res.snr_trace is None
+        assert np.array_equal(res.residual_energies, serial.residual_energies)
+        for got, want, got_r, want_r in zip(
+            res.decompositions, serial.decompositions, res.factors, serial.factors
+        ):
+            assert np.array_equal(got.indices, want.indices)
+            assert got.coefficients.shape == want.coefficients.shape
+            assert got.coefficients.tobytes() == want.coefficients.tobytes()
+            assert got_r.shape == want_r.shape and np.array_equal(got_r, want_r)
+        if case == "loud-block":
+            assert res.decompositions[4].ran_ahead > 0
+
+
+def test_truncating_a_block_that_ran_ahead_equals_stopping_it_there(rng):
+    d = TrigDictionary(16, 32)
+    block = rng.normal(size=(16, 3))
+
+    def run(atoms):
+        state = init_block_state(block, d, OOMP)
+        energies = [pursuit._energy(state)]
+        while state.atom_count < atoms:
+            if accept_candidate(state, d):
+                energies.append(pursuit._energy(state))
+                select_candidate(state, d, OOMP)
+        return state, energies
+
+    ahead, energies = run(12)
+    for k in (0, 1, 7, 12):
+        exact, exact_energies = run(k)
+        got = pursuit._finish(ahead, k, energies[k])
+        want = pursuit._finish(exact, k, exact_energies[k])
+        assert np.array_equal(got[0].indices, want[0].indices)
+        assert got[0].coefficients.tobytes() == want[0].coefficients.tobytes()
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2] == pursuit._energy(exact)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, instead of hanging, when the block takes longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _failing_accept(how):
+    parent = os.getpid()
+
+    def accept(state, dico):
+        if how == "dies" and os.getpid() != parent:
+            os._exit(7)
+        raise ZeroDivisionError("accept failed")
+
+    return accept
+
+
+@pytest.mark.parametrize("how", ["raises", "dies"])
+def test_a_failing_worker_fails_the_pursuit_and_leaves_no_process(rng, monkeypatch,
+                                                                    how):
+    import multiprocessing
+
+    _one_worker_per_thread(monkeypatch)
+    monkeypatch.setattr(pursuit, "accept_candidate", _failing_accept(how))
+    d = TrigDictionary(16, 32)
+    blocks = random_blocks(rng, 6, 16, 2)
+    message = "ZeroDivisionError" if how == "raises" else "exited"
+    with _deadline(60):
+        with pytest.raises(RuntimeError, match=message):
+            hbw_pursuit(blocks, d, 10, threads=3)
+        with pytest.raises(RuntimeError, match=message):
+            pursuit_to_snr(blocks, d, 20.0, threads=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_worker_fails_the_encode_and_leaves_no_process(tmp_path, rng,
+                                                                  monkeypatch):
+    import multiprocessing
+
+    from tdcodec import MultichannelSignal, write_wav
+    from tdcodec.cli import EncodeConfig, cmd_encode
+
+    _one_worker_per_thread(monkeypatch)
+    monkeypatch.setattr(pursuit, "accept_candidate", _failing_accept("raises"))
+    wav = tmp_path / "in.wav"
+    write_wav(wav, MultichannelSignal(0.3 * rng.normal(size=(4000, 2)), 8000))
+    cfg = EncodeConfig(str(wav), str(tmp_path / "out.tdc"), block_size=256,
+                       budget=50, threads=2)
+    with _deadline(60), pytest.raises(RuntimeError, match="ZeroDivisionError"):
+        cmd_encode(cfg, out=io.StringIO())
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out.tdc").exists()
+
+
+def test_importing_the_codec_loads_no_process_or_thread_pool():
+    # multiprocessing is imported when workers start, not with the package
+    code = (
+        "import sys, tdcodec, tdcodec.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent')))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

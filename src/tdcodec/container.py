@@ -161,7 +161,9 @@ _WAV_CHUNK_VALUES = 8192   # samples per conversion step of write_wav
 
 
 def _pcm16(payload: bytes) -> np.ndarray:
-    return np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(payload, dtype="<i2").astype(np.float64)
+    samples /= 32768.0
+    return samples
 
 
 def _pcm24(payload: bytes) -> np.ndarray:
@@ -172,7 +174,10 @@ def _pcm24(payload: bytes) -> np.ndarray:
 
 
 def _float32(payload: bytes) -> np.ndarray:
-    return np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    samples = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(samples).all():
+        raise FormatError("float WAV holds NaN or infinite samples")
+    return samples.astype(np.float64)
 
 
 _WAV_DECODERS = {(1, 16): _pcm16, (1, 24): _pcm24, (3, 32): _float32}   # (tag, bits)
@@ -182,7 +187,8 @@ def read_wav(path) -> MultichannelSignal:
     """Read a RIFF/WAVE file: 16- or 24-bit PCM or 32-bit IEEE float.
 
     The fmt chunk may be plain or ``WAVE_FORMAT_EXTENSIBLE`` with the PCM or
-    IEEE-float sub-format; PCM is scaled to [-1, 1).
+    IEEE-float sub-format; PCM is scaled to [-1, 1).  Float samples must
+    be finite.
     """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -193,13 +199,13 @@ def read_wav(path) -> MultichannelSignal:
     while pos + 8 <= len(data):
         cid = data[pos : pos + 4]
         (csize,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + csize]
+        body = memoryview(data)[pos + 8 : pos + 8 + csize]   # not a copy of the data
         if len(body) < csize:
             raise FormatError(f"truncated {cid!r} chunk")
         if cid == b"fmt ":
             if csize < 16:
                 raise FormatError("fmt chunk too short")
-            fmt = body
+            fmt = bytes(body)
         elif cid == b"data":
             payload = body
         pos += 8 + csize + (csize & 1)
@@ -305,11 +311,16 @@ def partition(signal: MultichannelSignal, block_size: int) -> PartitionedSignal:
         raise ValueError("block_size must be >= 2")
     q = -(-n // block_size)
     pad = q * block_size - n
-    padded = np.vstack([samples, np.zeros((pad, channels))]) if pad else samples
+    # whole blocks are views of the samples where those are C-ordered; only
+    # the padded last block is a copy
     blocks = [
-        np.ascontiguousarray(padded[i * block_size : (i + 1) * block_size])
-        for i in range(q)
+        np.ascontiguousarray(samples[i * block_size : (i + 1) * block_size])
+        for i in range(q - 1 if pad else q)
     ]
+    if pad:
+        last = np.zeros((block_size, channels))
+        last[: block_size - pad] = samples[(q - 1) * block_size :]
+        blocks.append(last)
     return PartitionedSignal(blocks=blocks, pad_length=pad)
 
 

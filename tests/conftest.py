@@ -38,7 +38,7 @@ def assert_state_invariants(state, dico, block, *, ortho_tol=1e-10, bior_tol=1e-
     cross = biors @ atoms.T
     assert np.abs(cross - np.eye(k)).max() <= bior_tol
 
-    coef = compute_coefficients(state, block)
+    coef = compute_coefficients(state)
     approx = atoms.T @ coef
     resid = block - approx
     e_sig = np.sum(block * block)

@@ -193,6 +193,28 @@ def test_malformed_wav_fmt_is_refused_with_exit_3(tmp_path, wav):
     assert code == 3
 
 
+@pytest.mark.parametrize("mode", [["--atoms", "50"], ["--snr", "20"]], ids=["atoms", "snr"])
+@pytest.mark.parametrize("extensible", [None, (22, _FLOAT_GUID)], ids=["plain", "extensible"])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
+def test_non_finite_float_wav_is_refused_with_exit_3(tmp_path, rng, capsys, bad,
+                                                     extensible, mode):
+    # refused as it is read, not later by the quantizer with a numpy warning
+    values = (0.3 * rng.normal(size=(3000, 2))).astype("<f4")
+    values[1234, 1] = bad
+    path = tmp_path / "f.wav"
+    path.write_bytes(_wav_bytes(2, 32, values.tobytes(), tag=3, extensible=extensible))
+    with pytest.raises(FormatError, match="NaN or infinite"):
+        read_wav(path)
+    out = tmp_path / "x.tdc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["encode", "--in", str(path), "--out", str(out), *mode,
+                     "--block", "64"])
+    assert code == 3
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_riff_is_rejected(tmp_path):
     path = tmp_path / "junk.wav"
     path.write_bytes(b"not a wav at all")

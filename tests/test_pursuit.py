@@ -163,7 +163,7 @@ def test_invariants_hold_at_full_rank(rng):
     assert len(state.selected) == 8
     assert state.gain == -np.inf
     assert_state_invariants(state, d, block)
-    coef = compute_coefficients(state, block)
+    coef = compute_coefficients(state)
     approx = synthesize_block(d, state.selected, coef)
     assert approx == pytest.approx(block, abs=1e-7)
 
@@ -208,7 +208,7 @@ def test_projection_coefficient_for_generating_atom():
     block = 2.5 * d.atom(3)
     state = init_block_state(block, d, OOMP)
     accept_candidate(state, d)
-    coef = compute_coefficients(state, block)
+    coef = compute_coefficients(state)
     assert coef == pytest.approx(np.array([[2.5]]), abs=1e-12)
 
 
@@ -219,7 +219,7 @@ def test_coefficients_match_normal_equations(rng):
     for _ in range(4):
         accept_candidate(state, d)
         select_candidate(state, d, OOMP)
-    coef = compute_coefficients(state, block)
+    coef = compute_coefficients(state)
     want, _ = lstsq_fit(d, state.selected, block)
     assert coef == pytest.approx(want, rel=1e-7, abs=1e-9)
 
@@ -331,7 +331,7 @@ def test_batched_initial_panels_match_one_block_states(rng, monkeypatch, workers
     blocks[4] = np.zeros((16, 3))    # silent
     for w in range(workers):
         shard = blocks[w::workers]
-        states = pursuit._init_states(shard, d, OOMP)
+        states = list(pursuit._init_states(shard, d, OOMP))
         assert len(states) == len(shard)
         for st, b in zip(states, shard):
             alone = init_block_state(b, d, OOMP)
@@ -524,7 +524,7 @@ def _rejecting(rule, tally):
 def _noting_run_ahead(real):
     def finish(state, k, energy):
         dec, factor, e = real(state, k, energy)
-        dec.ran_ahead = state.atom_count - k   # pickled with the decomposition
+        dec.ran_ahead = len(state.selected) - k
         return dec, factor, e
 
     return finish
@@ -554,6 +554,30 @@ def _replay_case(case, rng):
     return TrigDictionary(16, 32), blocks, rule, 40, 25.0
 
 
+def _assert_same_pursuit(got, want):
+    """Every field of two pursuit results agrees, the coefficients to the bit."""
+    assert got.atom_count == want.atom_count
+    assert got.saturated == want.saturated
+    assert got.snr_db == want.snr_db
+    if want.snr_trace is None:
+        assert got.snr_trace is None
+    else:
+        assert np.array_equal(got.snr_trace, want.snr_trace)
+    assert np.array_equal(got.residual_energies, want.residual_energies)
+    assert len(got.decompositions) == len(want.decompositions)
+    for g, w, g_r, w_r in zip(
+        got.decompositions, want.decompositions, got.factors, want.factors
+    ):
+        assert np.array_equal(g.indices, w.indices)
+        assert g.coefficients.shape == w.coefficients.shape
+        assert g.coefficients.tobytes() == w.coefficients.tobytes()
+        assert g_r.shape == w_r.shape and np.array_equal(g_r, w_r)
+
+
+# LIVE_BLOCKS at which every fixture below pursues a pilot of two blocks
+CAPPED = 2
+
+
 @pytest.mark.parametrize("criterion", list(SelectionCriterion))
 @pytest.mark.parametrize("mode", ["budget", "snr"])
 @pytest.mark.parametrize("case", ["mixed", "loud-block", "rejecting", "saturating"])
@@ -575,25 +599,121 @@ def test_worker_processes_replay_the_serial_pursuit_exactly(rng, monkeypatch, ca
     assert serial.atom_count > 0
     assert serial.saturated == (case == "saturating")
     assert (tally["rejections"] > 0) == (rule is not None)   # counted in process
-    for threads in (2, 3):
+    live = pursuit.LIVE_BLOCKS
+    for cap, threads in [(live, 2), (live, 3), (CAPPED, 1), (CAPPED, 2), (CAPPED, 3)]:
+        monkeypatch.setattr(pursuit, "LIVE_BLOCKS", cap)
         res = run(threads)
-        assert res.atom_count == serial.atom_count
-        assert res.saturated == serial.saturated
-        assert res.snr_db == serial.snr_db
-        if mode == "snr":
-            assert np.array_equal(res.snr_trace, serial.snr_trace)
-        else:
-            assert res.snr_trace is None
-        assert np.array_equal(res.residual_energies, serial.residual_energies)
-        for got, want, got_r, want_r in zip(
-            res.decompositions, serial.decompositions, res.factors, serial.factors
-        ):
-            assert np.array_equal(got.indices, want.indices)
-            assert got.coefficients.shape == want.coefficients.shape
-            assert got.coefficients.tobytes() == want.coefficients.tobytes()
-            assert got_r.shape == want_r.shape and np.array_equal(got_r, want_r)
-        if case == "loud-block":
+        _assert_same_pursuit(res, serial)
+        if case == "loud-block" and cap == live:
             assert res.decompositions[4].ran_ahead > 0
+
+
+def _capped_case(case, rng):
+    """``(dico, blocks, rejection rule, budget, SNR target)`` of one fixture.
+
+    Eight blocks: at ``LIVE_BLOCKS = CAPPED`` the pilot is blocks 0 and 4.
+    """
+    if case == "beyond-capacity":
+        return TrigDictionary(4, 8), random_blocks(rng, 8, 4, 2), None, 10**6, 500.0
+    blocks = random_blocks(rng, 8, 16, 2)
+    rule = None
+    if case == "silent-pilot":
+        # the pilot alone has no signal, so no SNR, and sets no threshold
+        blocks[0] = np.zeros((16, 2))
+        blocks[4] = np.zeros((16, 2))
+    elif case == "saturating-pilot":
+        # the pilot's faint blocks take one atom each, short of either
+        # stop scaled to them
+        blocks[0] *= 1e-3
+        blocks[4] *= 1e-3
+        rule = lambda st, n: np.abs(st.block).max() < 0.1 and st.selected   # noqa: E731
+    return TrigDictionary(16, 32), blocks, rule, 30, 15.0
+
+
+@pytest.mark.parametrize("mode", ["budget", "snr"])
+@pytest.mark.parametrize(
+    "case", ["stall", "silent-pilot", "saturating-pilot", "beyond-capacity"]
+)
+def test_a_capped_pursuit_equals_the_all_live_one(rng, monkeypatch, case, mode):
+    d, blocks, rule, budget, target = _capped_case(case, rng)
+    _one_worker_per_thread(monkeypatch)
+    if rule is not None:
+        monkeypatch.setattr(pursuit, "accept_candidate", _rejecting(rule, {"rejections": 0}))
+    if case == "stall":
+        # a threshold far too high: the merge runs past the logs and must
+        # lower it and run blocks again
+        real_threshold = pursuit._threshold
+        monkeypatch.setattr(pursuit, "_threshold",
+                            lambda last_gain, rest: real_threshold(10 * last_gain, rest))
+    pilots = []
+    real_in_process = pursuit._pursue_in_process
+
+    def in_process(pilot, *args):
+        run = real_in_process(pilot, *args)
+        pilots.append((len(pilot), run[0]))   # (pilot blocks, pilot saturated)
+        return run
+
+    monkeypatch.setattr(pursuit, "_pursue_in_process", in_process)
+    extensions = []
+    real_merge = pursuit._merge_records
+
+    def merge(records, stop, extend):
+        def counted(gain):
+            extensions.append(gain)
+            extend(gain)
+
+        return real_merge(records, stop, counted)
+
+    monkeypatch.setattr(pursuit, "_merge_records", merge)
+
+    def run(threads):
+        if mode == "budget":
+            return hbw_pursuit(blocks, d, budget, threads=threads)
+        return pursuit_to_snr(blocks, d, target, threads=threads)
+
+    want = run(1)
+    assert pilots == [(8, want.saturated)] and not extensions
+    assert want.saturated == (case == "beyond-capacity" and mode == "budget")
+    monkeypatch.setattr(pursuit, "LIVE_BLOCKS", CAPPED)
+    for threads in (1, 2, 3):
+        extensions.clear()
+        _assert_same_pursuit(run(threads), want)
+        if case in ("stall", "silent-pilot"):
+            assert extensions
+    pilot_size, pilot_saturated = pilots[-1]   # the capped run in process
+    assert pilot_size == 2
+    if case == "saturating-pilot" or case == "beyond-capacity" and mode == "budget":
+        assert pilot_saturated
+
+
+def test_pursuit_memory_does_not_grow_with_the_block_count(rng, monkeypatch):
+    # past LIVE_BLOCKS only the pilot keeps its panels while it runs; the
+    # other blocks are pursued a chunk at a time and keep compact records
+    import tracemalloc
+
+    monkeypatch.setattr(pursuit, "LIVE_BLOCKS", 32)
+    d = TrigDictionary(256, 512)
+
+    def sparse_blocks(count):
+        blocks = []
+        for _ in range(count):
+            atoms = d.atoms_matrix(rng.choice(np.arange(1, 1025), size=3, replace=False))
+            noise = 1e-3 * rng.normal(size=(256, 2))
+            blocks.append(atoms.T @ rng.normal(size=(3, 2)) + noise)
+        return blocks
+
+    pursuit_to_snr(sparse_blocks(4), d, 20.0)   # imports and FFT set-up
+    peaks = []
+    for count in (64, 256):
+        blocks = sparse_blocks(count)
+        tracemalloc.start()
+        try:
+            result = pursuit_to_snr(blocks, d, 20.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.snr_db >= 20.0
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_truncating_a_block_that_ran_ahead_equals_stopping_it_there(rng):

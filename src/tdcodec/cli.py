@@ -76,7 +76,7 @@ class EncodeConfig:
     """Settings of one encode.
 
     ``threads`` asks for pursuit worker processes: each pursues its own
-    share of the blocks, at most one per core and per block
+    share of the blocks, at most one per usable core and per block
     (``pursuit.worker_count``), and 1 pursues in this process.  The file
     does not depend on it.
     """
@@ -442,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--overshoot", type=float, default=3.0)
     enc.add_argument(
         "--threads", type=int, default=1,
-        help="pursuit worker processes, at most one per core and per block "
+        help="pursuit worker processes, at most one per usable core and per block "
         "(default 1: pursue in this process); the file does not depend on it",
     )
 

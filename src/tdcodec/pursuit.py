@@ -40,11 +40,13 @@ sequences by gain, then block index.  Two uses rest on that:
 * Processes.  With ``threads > 1`` the pilot's blocks are dealt
   round-robin to forked worker processes (block ``q`` to worker
   ``q mod P``, ``P`` from ``worker_count``), and so are the others' runs
-  to ``tau``.  Each worker runs the same loop on its own blocks and
-  streams every pick: the block, the gain it was ranked by, whether its
-  atom was accepted, and the block's residual energy.  The serial pick is
-  always the best head of some worker's stream, so the parent replays the
-  serial order exactly by merging the heads and applies the stop.  With
+  to ``tau``.  Each worker runs the same loop on its own blocks,
+  ``ROUND`` picks at a time, and after each round sends the pick logs and
+  head gains of the blocks it picked.  The parent merges the logs with
+  the same heap as the records; when it needs a pick past a block's log,
+  it asks that block's worker for one more round and takes the next one
+  the worker made.  A worker makes two rounds unasked, so it computes
+  while the parent merges, at most three rounds ahead of it.  With
   ``threads == 1`` the loop runs in process: one forked worker adds its
   messages and a cold process to the same work.
 
@@ -53,9 +55,11 @@ The output depends neither on ``threads`` nor on ``LIVE_BLOCKS``.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import heapq
+import itertools
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -84,8 +88,7 @@ ORTHO_TOL = 1e-10
 REFRESH_INTERVAL = 32
 INITIAL_CAPACITY = 8       # rows of ``w`` before the first doubling
 LIVE_BLOCKS = 256          # blocks whose pursuit state may be alive at once
-LOOKAHEAD = 256            # picks a worker may make ahead of the merge
-PICK_BATCH = 16            # picks per message from a worker to the merge
+ROUND = 32                 # picks a worker makes per request of the merge
 
 
 class SelectionCriterion(Enum):
@@ -122,7 +125,7 @@ class BlockState:
     r: np.ndarray = None              # (capacity, capacity), r[i, k] = <w_i, d_k>
     wf: np.ndarray = None             # (capacity, L), wf[i] = <w_i, block>
     blocked: np.ndarray = None        # selected or numerically dependent
-    candidate: tuple[int, float] | None = None
+    candidate: int | None = None      # 1-based atom index of the next pick
     gain: float = -np.inf             # candidate's gain; -inf if none/saturated
     saturated: bool = False
 
@@ -180,20 +183,15 @@ def _subtract_outer(target: np.ndarray, u: np.ndarray, coefs: np.ndarray) -> Non
         target[:, j] -= u * c
 
 
-def _as_block(block) -> np.ndarray:
-    arr = np.asarray(block, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return arr
-
-
 def _max_atoms(dico: TrigDictionary) -> int:
     """Rank of the dictionary: no block can hold more independent atoms."""
     return min(dico.block_size, dico.num_atoms)
 
 
 def _check_block(block, dico: TrigDictionary) -> np.ndarray:
-    block = _as_block(block)
+    block = np.asarray(block, dtype=float)
+    if block.ndim == 1:
+        block = block[:, None]
     if block.ndim != 2 or block.shape[0] != dico.block_size:
         raise ValueError(f"block must be ({dico.block_size}, L)")
     return block
@@ -266,7 +264,7 @@ def select_candidate(
         _saturate(state)
         return
     state.gain = float(sq[n0] / denom[n0])
-    state.candidate = (n0 + 1, state.gain)
+    state.candidate = n0 + 1
 
 
 def rank_blocks(gains) -> int | None:
@@ -305,7 +303,7 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
     """
     if state.candidate is None:
         raise RuntimeError("no candidate to accept")
-    n, _ = state.candidate
+    n = state.candidate
     k = len(state.selected)
     w = dico.atom(n)
     basis = state.w[:k]
@@ -369,13 +367,17 @@ def compute_coefficients(state: BlockState, atoms: int | None = None) -> np.ndar
 
 
 def worker_count(threads: int, block_count: int) -> int:
-    """Pursuit worker processes for ``threads``: at most one per core and per block.
+    """Pursuit worker processes for ``threads``: at most one per usable core and block.
 
-    Workers are forked, so a platform without ``fork`` pursues in process.
+    Usable cores are the process's CPU affinity set where the platform has
+    one.  Workers are forked, so a platform without ``fork`` pursues in
+    process.
     """
     if not hasattr(os, "fork"):
         return 1
-    return max(1, min(threads, os.cpu_count() or 1, block_count))
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(threads, cores, block_count))
 
 
 def _init_states(blocks, dico, criterion):
@@ -432,6 +434,12 @@ class _Record:
         self.head = state.gain
         self.state = None
         return self
+
+    def log(self) -> _Record:
+        """The record without its state: the pick log and head gain the merge reads."""
+        log = copy.copy(self)
+        log.state, log.head = None, self.state.gain
+        return log
 
     def gain_at(self, i: int) -> float:
         """The gain of the block's pick ``i``; past the log, its head."""
@@ -578,58 +586,16 @@ def _pursue_in_process(pilot, rest, dico, criterion, stop):
     return saturated, counts, tau, _run_ahead(records, rest, dico, criterion, tau)
 
 
-class _ShardLink:
-    """A worker's end of its pipe to the merge.
-
-    Picks go out in batches of ``PICK_BATCH``, since every message wakes
-    the merging parent.  The merge answers with credits, the number of
-    picks the worker may have made, so that it runs at most ``LOOKAHEAD``
-    picks ahead of the merge, and at its stop with the threshold ``tau``
-    to which the worker runs its blocks ahead.
-    """
-
-    def __init__(self, conn):
-        self.conn = conn
-        self.batch = []
-        self.made = 0
-        self.credit = LOOKAHEAD
-        self.tau = None
-
-    def pick(self, event) -> bool:
-        """Queue one pick; True once the merge has sent the threshold."""
-        self.batch.append(event)
-        self.made += 1
-        if len(self.batch) >= PICK_BATCH or self.made >= self.credit:
-            self.flush()
-            while self.tau is None and (self.made >= self.credit or self.conn.poll()):
-                self._read()
-        return self.tau is not None
-
-    def flush(self, ended: bool = False) -> None:
-        self.conn.send(("picks", self.batch, ended))
-        self.batch = []
-
-    def threshold(self) -> float:
-        while self.tau is None:
-            self._read()
-        return self.tau
-
-    def _read(self) -> None:
-        message = self.conn.recv()
-        if isinstance(message, int):
-            self.credit = message
-        else:
-            self.tau = message
-
-
 def _shard_worker(index, pipes, shard, rest, dico, criterion):
-    """Worker process: pursue ``shard`` and stream every pick to the merge.
+    """Worker process: pursue ``shard`` in rounds of picks for the merge.
 
-    A pick is ``(local block, gain, accepted, residual energy)``; the last
-    batch is marked as the end of the stream when the shard saturates.
-    When the merge stops, it sends the threshold ``tau``; the worker runs
-    the shard's blocks, then ``rest``'s, ahead to it and sends their
-    records; a failure sends its traceback in their place.
+    A round is ``ROUND`` more picks of the shard's own serial loop; the
+    worker makes two unasked and one more for each ``True`` from the merge,
+    and sends each round's logs of the blocks picked, by their index in the
+    shard (every block's, the first time).  When the merge stops, it sends
+    the threshold ``tau``, which the worker reads before its next round; it
+    runs the shard's blocks, then ``rest``'s, ahead to it and sends their
+    records.  A failure sends its traceback in their place.
     """
     conn = pipes[index][1]
     for pair in pipes:
@@ -638,16 +604,25 @@ def _shard_worker(index, pipes, shard, rest, dico, criterion):
                 end.close()
     try:
         records = [_Record(st) for st in _init_states(shard, dico, criterion)]
-        link = _ShardLink(conn)
+        picked = set(range(len(records)))   # blocks whose log the merge lacks
+        made = itertools.count(1)
 
         def pick(q, gain, accepted):
             records[q].note(gain, accepted)
-            return link.pick((q, gain, accepted, records[q].energies[-1]))
+            picked.add(q)
+            return next(made) % ROUND == 0
 
-        if _pursue([rec.state for rec in records], dico, pick):
-            link.flush(ended=True)
-        tau = link.threshold()
-        conn.send(("results", _run_ahead(records, rest, dico, criterion, tau)))
+        credit, message = 2, True   # rounds to make before the merge asks again
+        while message is True:
+            if credit and not conn.poll():
+                _pursue([rec.state for rec in records], dico, pick)
+                conn.send(("logs", [(i, records[i].log()) for i in picked]))
+                picked.clear()
+                credit -= 1
+            else:   # read ahead, so that the threshold ends the rounds at once
+                message = conn.recv()
+                credit += 1
+        conn.send(("results", _run_ahead(records, rest, dico, criterion, message)))
     except Exception:
         import traceback   # a failing worker only: keeps the package import light
 
@@ -660,78 +635,17 @@ def _receive(conn):
     """A worker's next message; raises if the worker failed or is gone."""
     try:
         message = conn.recv()
-    except EOFError:
+    except (EOFError, ConnectionError):
         raise RuntimeError("a pursuit worker exited without its results") from None
     if message[0] == "failed":
         raise RuntimeError(f"a pursuit worker failed:\n{message[1]}")
     return message
 
 
-class _Stream:
-    """The merge's view of one worker: its picks not yet merged."""
-
-    def __init__(self, conn):
-        self.conn = conn
-        self.picks = deque()
-        self.ended = False
-        self.taken = 0
-
-    def head(self):
-        """The worker's next pick, or None once its stream has ended."""
-        while not self.picks and not self.ended:
-            _, picks, self.ended = _receive(self.conn)
-            self.picks.extend(picks)
-        return self.picks[0] if self.picks else None
-
-    def take(self) -> None:
-        self.picks.popleft()
-        self.taken += 1
-        if self.taken % (LOOKAHEAD // 2) == 0:
-            self.conn.send(self.taken + LOOKAHEAD)
-
-    def results(self, tau: float) -> list[_Record]:
-        """Send the threshold; the records of the worker's blocks."""
-        self.conn.send(tau)
-        while True:
-            message = _receive(self.conn)
-            if message[0] == "results":
-                return message[1]
-
-
-def _merge(streams: list[_Stream], block_count: int, stop):
-    """Replay the serial pick order from the workers' streams until ``stop``.
-
-    Worker ``w`` holds blocks ``w, w + P, ...``.  The serial loop picks the
-    block with the largest gain, the lower block index on a tie, and a pick
-    changes only its own block; so the serial pick is always the head of
-    some worker's stream, and taking the best head, by gain and then global
-    block index, replays the serial order exactly, ties included.  Rejected
-    picks are merged too: they rank with their own gain, not their
-    replacement's.  Returns whether every stream ended before ``stop`` did,
-    the atom count of every block and the gain of the last pick merged.
-    """
-    workers = len(streams)
-    counts = np.zeros(block_count, dtype=np.int64)
-    last_gain = np.inf
-    while True:
-        best = None
-        for w, stream in enumerate(streams):
-            head = stream.head()
-            if head is not None and (
-                best is None
-                or head[1] > best[1]
-                or head[1] == best[1] and head[0] * workers + w < best[0]
-            ):
-                best = (head[0] * workers + w, head[1], w)
-        if best is None:
-            return True, counts, last_gain
-        g, last_gain, w = best
-        _, _, accepted, energy = streams[w].picks[0]
-        streams[w].take()
-        if accepted:
-            counts[g] += 1
-            if stop(g, lambda: energy):
-                return False, counts, last_gain
+def _send(conn, message) -> None:
+    """Send ``message`` to a worker; if the worker is gone, ``_receive`` says why."""
+    with contextlib.suppress(ConnectionError):
+        conn.send(message)
 
 
 def _pursue_in_workers(pilot, rest, dico, criterion, stop, workers):
@@ -744,7 +658,6 @@ def _pursue_in_workers(pilot, rest, dico, criterion, stop, workers):
     ctx = multiprocessing.get_context("fork")
     pipes = [ctx.Pipe() for _ in range(workers)]
     procs = []
-    done = False
     try:
         for w in range(workers):
             proc = ctx.Process(
@@ -754,23 +667,36 @@ def _pursue_in_workers(pilot, rest, dico, criterion, stop, workers):
             )
             proc.start()
             procs.append(proc)
+        conns = [parent for parent, _ in pipes]
         for _, child in pipes:
             child.close()
-        streams = [_Stream(parent) for parent, _ in pipes]
-        saturated, counts, last_gain = _merge(streams, len(pilot), stop)
+        logs = [None] * len(pilot)
+
+        def extend(q):
+            # worker w holds blocks w, w + P, ...; asked before its next
+            # round is taken, it keeps computing while the merge runs
+            w = q % workers
+            _send(conns[w], True)
+            for i, log in _receive(conns[w])[1]:
+                logs[i * workers + w] = log
+
+        for w in range(workers):
+            extend(w)
+        saturated, counts, last_gain = _merge_records(logs, stop, extend)
         tau = _threshold(last_gain, rest)
+        for conn in conns:
+            _send(conn, tau)
         records = [None] * (len(pilot) + len(rest))
-        for w, stream in enumerate(streams):
-            got = stream.results(tau)
+        for w, conn in enumerate(conns):
+            while (message := _receive(conn))[0] != "results":
+                pass   # a round made ahead of the stop
             shard = len(range(w, len(pilot), workers))
-            records[w : len(pilot) : workers] = got[:shard]
-            records[len(pilot) + w :: workers] = got[shard:]
-        done = True
-        return saturated, counts.tolist(), tau, records
+            records[w : len(pilot) : workers] = message[1][:shard]
+            records[len(pilot) + w :: workers] = message[1][shard:]
+        return saturated, counts, tau, records
     finally:
         for proc in procs:
-            if not done:
-                proc.terminate()
+            proc.terminate()   # once it has sent its records, or failed, a worker is done
             proc.join()
         for pair in pipes:
             for end in pair:
@@ -782,13 +708,15 @@ def _merge_records(records: list[_Record], stop, extend):
 
     The serial loop always picks the block with the largest head gain, the
     lower block index on a tie, and a pick changes only its own block; so
-    a heap over the blocks' heads replays it exactly.  When the best head
-    lies past its block's log, ``extend(gain)`` must log it.  Returns
-    whether the blocks saturated before ``stop`` ended the merge, and the
-    atom count of every block.
+    a heap over the blocks' heads replays it exactly, rejected picks and
+    ties included.  When the best head, block ``q``'s, lies past its log,
+    ``extend(q)`` must put a longer one in ``records[q]``.  Returns whether
+    the blocks saturated before ``stop`` ended the merge, the atom count of
+    every block and the gain of the last pick merged.
     """
     taken = [0] * len(records)    # picks merged, per block
     counts = [0] * len(records)   # atoms accepted, per block
+    last_gain = np.inf
     heap = [(-rec.gain_at(0), q) for q, rec in enumerate(records)]
     heap = [entry for entry in heap if entry[0] != np.inf]
     heapq.heapify(heap)
@@ -796,20 +724,21 @@ def _merge_records(records: list[_Record], stop, extend):
         gain, q = heap[0]
         rec = records[q]
         if taken[q] == len(rec.gains):
-            extend(-gain)
+            extend(q)
             continue
+        last_gain = -gain
         accepted = rec.accepted[taken[q]]
         taken[q] += 1
         if accepted:
             counts[q] += 1
             if stop(q, lambda: rec.energies[counts[q]]):
-                return False, counts
+                return False, counts, last_gain
         head = rec.gain_at(taken[q])
         if head == -np.inf:
             heapq.heappop(heap)
         else:
             heapq.heapreplace(heap, (-head, q))
-    return True, counts
+    return True, counts, last_gain
 
 
 def _pursue_blocks(blocks, dico, criterion, stop, threads):
@@ -842,15 +771,15 @@ def _pursue_blocks(blocks, dico, criterion, stop, threads):
     records = [records[i] for i in np.argsort(order, kind="stable")]
     if stride > 1:
 
-        def extend(gain):
+        def extend(q):
             nonlocal tau
-            tau = min(tau / 2, gain)
+            tau = min(tau / 2, records[q].head)
             again = [q for q, rec in enumerate(records) if rec.head >= tau]
             fresh = _run_ahead([], [blocks[q] for q in again], dico, criterion, tau)
             for q, rec in zip(again, fresh):
                 records[q] = rec
 
-        saturated, counts = _merge_records(records, stop, extend)
+        saturated, counts, _ = _merge_records(records, stop, extend)
     return saturated, [_finish(rec, k, rec.energies[k]) for rec, k in zip(records, counts)]
 
 

@@ -40,7 +40,7 @@ def reconstruct(dico, result):
 def test_single_atom_block_selects_that_atom():
     d = TrigDictionary(16, 32)
     state = init_block_state(d.atom(7), d, OOMP)
-    assert state.candidate[0] == 7
+    assert state.candidate == 7
     assert accept_candidate(state, d)
     assert np.linalg.norm(state.residual) <= 1e-12
 
@@ -66,13 +66,13 @@ def test_criterion_aggregations_differ_as_designed():
     ips = {3: (0.6, 0.0), 5: (0.45, 0.45)}
     st = _fabricated_state(d, ips)
     select_candidate(st, d, SelectionCriterion.SOMP)
-    assert st.candidate[0] == 5        # 0.9 beats 0.6
+    assert st.candidate == 5        # 0.9 beats 0.6
     st = _fabricated_state(d, ips)
     select_candidate(st, d, SelectionCriterion.MMV_OMP)
-    assert st.candidate[0] == 5        # 0.405 beats 0.36
+    assert st.candidate == 5        # 0.405 beats 0.36
     st = _fabricated_state(d, ips)
     select_candidate(st, d, OOMP)
-    assert st.candidate[0] == 5
+    assert st.candidate == 5
 
 
 @pytest.mark.parametrize("channels", [1, 2])
@@ -86,7 +86,7 @@ def test_selection_matches_exhaustive_least_squares_oracle(rng, channels):
         from oracles import best_atom_for_block
 
         want, _ = best_atom_for_block(d, state.selected, block)
-        assert state.candidate[0] == want
+        assert state.candidate == want
         assert accept_candidate(state, d)
         chosen.append(state.selected[-1])
         select_candidate(state, d, OOMP)
@@ -125,7 +125,7 @@ def test_exact_atom_block_outranks_tiny_noise(rng):
     states = [init_block_state(noise, d, OOMP), init_block_state(pure, d, OOMP)]
     assert rank_blocks([st.gain for st in states]) == 1
     # the exact atom's gain is the block's entire energy
-    assert states[1].candidate[1] == pytest.approx(8.0, rel=1e-12)
+    assert states[1].gain == pytest.approx(8.0, rel=1e-12)
 
 
 def test_first_acceptance_sets_w_and_bior_to_the_atom():
@@ -156,7 +156,6 @@ def test_invariants_hold_at_full_rank(rng):
     block = rng.normal(size=(8, 1))
     state = init_block_state(block, d, OOMP)
     while not state.saturated:
-        assert state.gain == state.candidate[1]
         if accept_candidate(state, d):
             select_candidate(state, d, OOMP)
         assert state.w.shape[0] <= min(d.block_size, d.num_atoms)
@@ -188,16 +187,16 @@ def test_dependency_rejection_updates_the_gain(rng):
     first = state.selected[0]
     # an atom already in the span is numerically dependent: rejected,
     # excluded, and the block moves on to a fresh candidate
-    state.candidate = (first, 1.0)
+    state.candidate, state.gain = first, 1.0
     assert not accept_candidate(state, d)
     assert state.blocked[first - 1]
-    assert state.candidate[0] != first
-    assert state.gain == state.candidate[1] > 0
+    assert state.candidate != first
+    assert 0 < state.gain != 1.0
 
     # with nothing else left to try, the rejection leaves no candidate
     state.blocked[:] = True
     state.blocked[first - 1] = False
-    state.candidate = (first, 1.0)
+    state.candidate, state.gain = first, 1.0
     assert not accept_candidate(state, d)
     assert state.saturated and state.candidate is None
     assert state.gain == -np.inf
@@ -484,14 +483,38 @@ def test_worker_count_is_bounded_by_cores_and_blocks(monkeypatch):
     import multiprocessing
 
     # worked out before anything is started, so a huge request starts nothing
-    cores = os.cpu_count() or 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+        os.cpu_count() or 1
+    )
     assert pursuit.worker_count(100_000, 10**9) == cores
     assert pursuit.worker_count(100_000, 3) == min(cores, 3)
     assert pursuit.worker_count(1, 50) == 1
     assert pursuit.worker_count(4, 0) == 1
+    # cores outside the process's affinity set (as under taskset) are not usable
+    monkeypatch.setattr(pursuit.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pursuit.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pursuit.worker_count(2, 130) == 1
+    monkeypatch.delattr(pursuit.os, "sched_getaffinity")
+    assert pursuit.worker_count(2, 130) == 2
     monkeypatch.setattr(pursuit.os, "cpu_count", lambda: None)
     assert pursuit.worker_count(100_000, 50) == 1
     assert multiprocessing.active_children() == []
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, instead of hanging, when the block takes longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _one_worker_per_thread(monkeypatch):
@@ -511,9 +534,9 @@ def _rejecting(rule, tally):
     real = pursuit.accept_candidate
 
     def accept(state, dico):
-        if rule(state, state.candidate[0]):
+        if rule(state, state.candidate):
             tally["rejections"] += 1
-            state.blocked[state.candidate[0] - 1] = True
+            state.blocked[state.candidate - 1] = True
             pursuit.select_candidate(state, dico, state.criterion)
             return False
         return real(state, dico)
@@ -595,17 +618,46 @@ def test_worker_processes_replay_the_serial_pursuit_exactly(rng, monkeypatch, ca
             return hbw_pursuit(blocks, d, budget, criterion, threads=threads)
         return pursuit_to_snr(blocks, d, target, criterion, threads=threads)
 
-    serial = run(1)
-    assert serial.atom_count > 0
-    assert serial.saturated == (case == "saturating")
-    assert (tally["rejections"] > 0) == (rule is not None)   # counted in process
-    live = pursuit.LIVE_BLOCKS
-    for cap, threads in [(live, 2), (live, 3), (CAPPED, 1), (CAPPED, 2), (CAPPED, 3)]:
-        monkeypatch.setattr(pursuit, "LIVE_BLOCKS", cap)
-        res = run(threads)
-        _assert_same_pursuit(res, serial)
-        if case == "loud-block" and cap == live:
-            assert res.decompositions[4].ran_ahead > 0
+    with _deadline(60):   # a deadlocked merge fails instead of hanging
+        serial = run(1)
+        assert serial.atom_count > 0
+        assert serial.saturated == (case == "saturating")
+        assert (tally["rejections"] > 0) == (rule is not None)   # counted in process
+        live = pursuit.LIVE_BLOCKS
+        for cap, threads in [(live, 2), (live, 3), (CAPPED, 1), (CAPPED, 2), (CAPPED, 3)]:
+            monkeypatch.setattr(pursuit, "LIVE_BLOCKS", cap)
+            res = run(threads)
+            _assert_same_pursuit(res, serial)
+            if case == "loud-block" and cap == live:
+                assert res.decompositions[4].ran_ahead > 0
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("mode", ["budget", "snr"])
+def test_workers_run_at_most_three_rounds_ahead_of_the_merge(rng, monkeypatch, mode,
+                                                              workers):
+    # a worker makes two rounds more than the merge has asked for, and the
+    # merge asks only once it has used every pick the worker sent; the
+    # stop comes inside block 4's opening run, so the other workers' first
+    # rounds, always made whole, are computed ahead and never merged
+    d, blocks, _, budget, target = _replay_case("loud-block", rng)
+    _one_worker_per_thread(monkeypatch)
+    monkeypatch.setattr(pursuit, "ROUND", 2)
+    real_finish = pursuit._finish
+    ahead = []
+
+    def finish(state, k, energy):
+        ahead.append(len(state.selected) - k)
+        return real_finish(state, k, energy)
+
+    monkeypatch.setattr(pursuit, "_finish", finish)
+    with _deadline(60):
+        if mode == "budget":
+            hbw_pursuit(blocks, d, budget, threads=workers)
+        else:
+            pursuit_to_snr(blocks, d, target, threads=workers)
+    assert len(ahead) == len(blocks)
+    assert 0 < sum(ahead) <= 3 * pursuit.ROUND * workers
 
 
 def _capped_case(case, rng):
@@ -658,9 +710,9 @@ def test_a_capped_pursuit_equals_the_all_live_one(rng, monkeypatch, case, mode):
     real_merge = pursuit._merge_records
 
     def merge(records, stop, extend):
-        def counted(gain):
-            extensions.append(gain)
-            extend(gain)
+        def counted(q):
+            extensions.append(q)
+            extend(q)
 
         return real_merge(records, stop, counted)
 
@@ -671,15 +723,16 @@ def test_a_capped_pursuit_equals_the_all_live_one(rng, monkeypatch, case, mode):
             return hbw_pursuit(blocks, d, budget, threads=threads)
         return pursuit_to_snr(blocks, d, target, threads=threads)
 
-    want = run(1)
-    assert pilots == [(8, want.saturated)] and not extensions
-    assert want.saturated == (case == "beyond-capacity" and mode == "budget")
-    monkeypatch.setattr(pursuit, "LIVE_BLOCKS", CAPPED)
-    for threads in (1, 2, 3):
-        extensions.clear()
-        _assert_same_pursuit(run(threads), want)
-        if case in ("stall", "silent-pilot"):
-            assert extensions
+    with _deadline(60):   # a deadlocked merge fails instead of hanging
+        want = run(1)
+        assert pilots == [(8, want.saturated)] and not extensions
+        assert want.saturated == (case == "beyond-capacity" and mode == "budget")
+        monkeypatch.setattr(pursuit, "LIVE_BLOCKS", CAPPED)
+        for threads in (1, 2, 3):
+            extensions.clear()
+            _assert_same_pursuit(run(threads), want)
+            if case in ("stall", "silent-pilot"):
+                assert extensions
     pilot_size, pilot_saturated = pilots[-1]   # the capped run in process
     assert pilot_size == 2
     if case == "saturating-pilot" or case == "beyond-capacity" and mode == "budget":
@@ -738,22 +791,6 @@ def test_truncating_a_block_that_ran_ahead_equals_stopping_it_there(rng):
         assert got[0].coefficients.tobytes() == want[0].coefficients.tobytes()
         assert np.array_equal(got[1], want[1])
         assert got[2] == want[2] == pursuit._energy(exact)
-
-
-@contextlib.contextmanager
-def _deadline(seconds):
-    """Fail, instead of hanging, when the block takes longer than ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _failing_accept(how):

@@ -9,7 +9,11 @@ candidate's gain, and the loop keeps those gains in one vector, so
 ranking is one ``argmax`` and a step rewrites a single entry.
 
 The selected subspace of a block is tracked by Gram-Schmidt with
-re-orthogonalization: the orthonormal vectors are the rows of ``w`` and
+conditional re-orthogonalization: a new atom gets a second pass only when
+the first leaves at most ``1/sqrt(2)`` of its unit norm (the test of
+Daniel, Gragg, Kaufman and Stewart, Math. Comp. 1976; Giraud, Langou,
+Rozloznik and van den Eshof, Numer. Math. 2005, show that two passes
+then suffice).  The orthonormal vectors are the rows of ``w`` and
 the triangular factor ``r[i, k] = <w_i, d_k>`` of the selected atoms
 ``d_k`` sits beside it, both in arrays that double in capacity as atoms
 arrive.  Each accepted row's products with the block, ``wf[i] = <w_i, f>``,
@@ -21,7 +25,9 @@ Inner products against every dictionary atom are cached per channel as a
 full panel and updated incrementally on each acceptance; panels are
 recomputed from the residual every ``REFRESH_INTERVAL`` acceptances to
 bound drift.  The first panels come from batched FFTs, one call per chunk
-of blocks, bit-identical to one block's own.
+of blocks, bit-identical to one block's own.  Residual and panel are both
+channel-major, so each acceptance updates every channel as one
+contiguous row.
 
 A block's pursuit never reads another block, so its picks form a gain
 sequence of its own, and the serial order is the merge of those
@@ -41,8 +47,9 @@ sequences by gain, then block index.  Two uses rest on that:
   round-robin to forked worker processes (block ``q`` to worker
   ``q mod P``, ``P`` from ``worker_count``), and so are the others' runs
   to ``tau``.  Each worker runs the same loop on its own blocks,
-  ``ROUND`` picks at a time, and after each round sends the pick logs and
-  head gains of the blocks it picked.  The parent merges the logs with
+  ``ROUND`` picks at a time, and after each round sends the new log
+  entries and head gains of the blocks it picked.  The parent appends
+  them to its copies of the blocks' logs and merges those with
   the same heap as the records; when it needs a pick past a block's log,
   it asks that block's worker for one more round and takes the next one
   the worker made.  A worker makes two rounds unasked, so it computes
@@ -56,10 +63,11 @@ The output depends neither on ``threads`` nor on ``LIVE_BLOCKS``.
 from __future__ import annotations
 
 import contextlib
-import copy
 import heapq
 import itertools
+import math
 import os
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -85,6 +93,7 @@ __all__ = [
 
 DEPENDENCY_FLOOR = 1e-10   # atoms with 1 - S_n at or below this are in-span
 ORTHO_TOL = 1e-10
+REORTHO_NORM = 1 / math.sqrt(2)   # a first pass leaving |w| at or below this takes a second
 REFRESH_INTERVAL = 32
 INITIAL_CAPACITY = 8       # rows of ``w`` before the first doubling
 LIVE_BLOCKS = 256          # blocks whose pursuit state may be alive at once
@@ -116,7 +125,7 @@ class BlockState:
     """Mutable pursuit state of a single block."""
 
     block: np.ndarray                 # (N_b, L) original samples
-    residual: np.ndarray              # (N_b, L)
+    residual: np.ndarray              # (N_b, L), channel-major (Fortran order)
     res_ip: np.ndarray                # (2M, L) atom/residual inner products
     s_sums: np.ndarray                # (2M,) accumulated |<d_n, w_i>|^2
     criterion: SelectionCriterion
@@ -174,13 +183,20 @@ def _panel(dico: TrigDictionary, channels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _subtract_outer(target: np.ndarray, u: np.ndarray, coefs: np.ndarray) -> None:
-    """``target -= outer(u, coefs)``, one channel column at a time.
+_local = threading.local()
 
-    For the C-order ``residual``; at two channels this beats ``np.outer``.
+
+def _buffers(size: int):
+    """This thread's work arrays for ``select_candidate``: three float, one bool.
+
+    Every call writes them before it reads them, so nothing carries over
+    from one call to the next, and threads pursuing at once do not share.
     """
-    for j, c in enumerate(coefs):
-        target[:, j] -= u * c
+    bufs = getattr(_local, "buffers", None)
+    if bufs is None or bufs[0].size != size:
+        bufs = tuple(np.empty(size) for _ in range(3)) + (np.empty(size, dtype=bool),)
+        _local.buffers = bufs
+    return bufs
 
 
 def _max_atoms(dico: TrigDictionary) -> int:
@@ -214,7 +230,8 @@ def init_block_state(
         res_ip = _panel(dico, block)
     state = BlockState(
         block=block,
-        residual=block.copy(),
+        # a copy always: np.asfortranarray would alias a mono block
+        residual=np.array(block, order="F"),
         res_ip=res_ip,
         s_sums=np.zeros(n_atoms),
         criterion=criterion,
@@ -224,7 +241,12 @@ def init_block_state(
         # silent block: every gain is zero, never worth an atom
         state.saturated = True
         return state
-    select_candidate(state, dico, criterion)
+    # no atom yet: every denominator is exactly 1 and nothing is blocked, so
+    # this is select_candidate's pick and gain
+    sq = np.einsum("nj,nj->n", res_ip, res_ip)
+    scores = np.abs(res_ip).sum(axis=1) if criterion is SelectionCriterion.SOMP else sq
+    n0 = int(np.argmax(scores))
+    state.candidate, state.gain = n0 + 1, float(sq[n0])
     return state
 
 
@@ -241,29 +263,38 @@ def select_candidate(
 
     The candidate's ranking gain is the residual-energy drop its
     acceptance would realize, which is the quantity the block ranker
-    compares across blocks regardless of criterion.
+    compares across blocks regardless of criterion.  Works in this
+    thread's ``_buffers``, so a step allocates no arrays.
     """
     if state.saturated:
         return
     if len(state.selected) >= _max_atoms(dico):
         _saturate(state)
         return
-    denom = 1.0 - state.s_sums
-    state.blocked |= denom <= DEPENDENCY_FLOOR
-    available = ~state.blocked
-    sq = np.einsum("nj,nj->n", state.res_ip, state.res_ip)
-    scores = np.full(sq.shape, -np.inf)
+    denom, sq, scores, free = _buffers(state.s_sums.size)
+    res_ip = state.res_ip
+    np.einsum("nj,nj->n", res_ip, res_ip, out=sq)
     if criterion is SelectionCriterion.SOMP:
-        np.copyto(scores, np.abs(state.res_ip).sum(axis=1), where=available)
+        # channel by channel, with ``denom`` as the temporary: the sums of
+        # np.abs(res_ip).sum(axis=1) on the channel-major panel
+        np.abs(res_ip[:, 0], out=scores)
+        for j in range(1, res_ip.shape[1]):
+            scores += np.abs(res_ip[:, j], out=denom)
+    np.subtract(1.0, state.s_sums, out=denom)
+    np.less_equal(denom, DEPENDENCY_FLOOR, out=free)
+    state.blocked |= free
+    np.logical_not(state.blocked, out=free)
+    if criterion is SelectionCriterion.OOMPML:
+        scores = np.divide(sq, denom, out=denom, where=free)   # scores are the gains
     elif criterion is SelectionCriterion.MMV_OMP:
-        np.copyto(scores, sq, where=available)
-    else:
-        np.divide(sq, denom, out=scores, where=available)
+        scores = sq
+    np.copyto(scores, -np.inf, where=state.blocked)
     n0 = int(np.argmax(scores))   # first max: smallest index wins ties
     if scores[n0] == -np.inf:     # every atom selected or dependent
         _saturate(state)
         return
-    state.gain = float(sq[n0] / denom[n0])
+    gain = scores[n0] if criterion is SelectionCriterion.OOMPML else sq[n0] / denom[n0]
+    state.gain = float(gain)
     state.candidate = n0 + 1
 
 
@@ -300,6 +331,12 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
     Returns False when the atom turned out numerically dependent; it is
     then excluded and a fresh candidate is selected, leaving the caller
     to re-rank.
+
+    Re-orthogonalization is conditional (see the module docstring): the
+    atom has unit norm, so when one Gram-Schmidt pass leaves more than
+    ``REORTHO_NORM`` of it, little cancelled and the result is already
+    orthogonal to working accuracy.  Otherwise a second pass follows, and
+    a third if the second still leaves products above ``ORTHO_TOL``.
     """
     if state.candidate is None:
         raise RuntimeError("no candidate to accept")
@@ -309,16 +346,18 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
     basis = state.w[:k]
     proj = basis @ w                   # accumulates r[:k, k] over the passes
     w -= basis.T @ proj
-    again = basis @ w                  # one re-orthogonalization pass
-    w -= basis.T @ again
-    proj += again
-    norm = np.linalg.norm(w)
-    if k and norm > 0:
+    norm = math.sqrt(w @ w)            # the bits of np.linalg.norm
+    if norm <= REORTHO_NORM:
         again = basis @ w
-        if np.abs(again).max() > ORTHO_TOL * norm:
-            w -= basis.T @ again
-            proj += again
-    norm = float(np.linalg.norm(w))
+        w -= basis.T @ again
+        proj += again
+        norm = math.sqrt(w @ w)
+        if norm > 0:
+            again = basis @ w
+            if np.abs(again).max() > ORTHO_TOL * norm:
+                w -= basis.T @ again
+                proj += again
+                norm = math.sqrt(w @ w)
     if norm <= DEPENDENCY_FLOOR:
         state.blocked[n - 1] = True
         select_candidate(state, dico, state.criterion)
@@ -337,13 +376,15 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
     state.blocked[n - 1] = True
 
     panel = dico.all_inner_products(w_unit)
-    state.s_sums += panel * panel
-    alpha = state.residual.T @ w_unit          # == <w, f_j>, w orthogonal to span
-    _subtract_outer(state.residual, w_unit, alpha)
-    # res_ip is column-major, so its transpose takes all channels in one
-    # contiguous update with the same products as the column loop
+    # residual and res_ip are channel-major: their transposes hold one
+    # contiguous row per channel, so each update is one pass over them
+    by_channel = state.residual.T
+    alpha = by_channel @ w_unit                # == <w, f_j>, w orthogonal to span
+    by_channel -= alpha[:, None] * w_unit
     by_channel = state.res_ip.T
     by_channel -= alpha[:, None] * panel
+    panel *= panel
+    state.s_sums += panel
     if len(state.selected) % REFRESH_INTERVAL == 0:
         state.res_ip = _panel(dico, state.residual)
     state.candidate = None
@@ -400,8 +441,9 @@ def _init_states(blocks, dico, criterion):
 
 
 def _energy(state: BlockState) -> float:
-    """The block's residual energy, summed over channels."""
-    return float(np.sum(np.square(state.residual)))
+    """The block's residual energy, summed over channels: one dot product."""
+    flat = state.residual.ravel(order="K")   # a view of the channel-major residual
+    return float(flat @ flat)
 
 
 class _Record:
@@ -411,14 +453,17 @@ class _Record:
     logs each pick.  ``close`` keeps what truncation needs (the atoms,
     ``r[:k, :k]``, the ``wf`` rows and the pick log) with the gain of the
     block's next pick, ``head`` (``-inf`` once it is saturated), and drops
-    the state and its panels.
+    the state and its panels.  A record made without a state is the
+    merge's copy of a worker's log, which ``add`` extends.
     """
 
-    def __init__(self, state: BlockState):
+    def __init__(self, state: BlockState | None = None):
         self.state = state
         self.gains: list[float] = []       # the gain each pick was ranked by
         self.accepted: list[bool] = []     # whether that pick's atom was kept
-        self.energies = [_energy(state)]   # residual energy after 0, 1, ... atoms
+        # residual energy after 0, 1, ... atoms
+        self.energies = [] if state is None else [_energy(state)]
+        self._sent = (0, 0)                # picks and energies ``news`` has sent
 
     def note(self, gain: float, accepted: bool) -> None:
         self.gains.append(gain)
@@ -435,11 +480,19 @@ class _Record:
         self.state = None
         return self
 
-    def log(self) -> _Record:
-        """The record without its state: the pick log and head gain the merge reads."""
-        log = copy.copy(self)
-        log.state, log.head = None, self.state.gain
-        return log
+    def news(self):
+        """The log entries made since the last call, and the head gain."""
+        picks, energies = self._sent
+        self._sent = len(self.gains), len(self.energies)
+        return (self.gains[picks:], self.accepted[picks:], self.energies[energies:],
+                self.state.gain)
+
+    def add(self, gains, accepted, energies, head) -> None:
+        """Append another record's ``news`` to this log."""
+        self.gains += gains
+        self.accepted += accepted
+        self.energies += energies
+        self.head = head
 
     def gain_at(self, i: int) -> float:
         """The gain of the block's pick ``i``; past the log, its head."""
@@ -544,13 +597,13 @@ def _pursue(states, dico, pick) -> bool:
 def _advance(record: _Record, dico, tau: float) -> _Record:
     """Pursue the record's block alone while its head gain is at least ``tau``; close it."""
     state = record.state
-    if state.gain >= tau:
-
-        def pick(_q, gain, accepted):
-            record.note(gain, accepted)
-            return state.gain < tau
-
-        _pursue([state], dico, pick)
+    # _pursue over this one block, without its ranking
+    while state.candidate is not None and state.gain >= tau:
+        gain = state.gain
+        accepted = accept_candidate(state, dico)
+        if accepted:
+            select_candidate(state, dico, state.criterion)
+        record.note(gain, accepted)
     return record.close()
 
 
@@ -591,11 +644,11 @@ def _shard_worker(index, pipes, shard, rest, dico, criterion):
 
     A round is ``ROUND`` more picks of the shard's own serial loop; the
     worker makes two unasked and one more for each ``True`` from the merge,
-    and sends each round's logs of the blocks picked, by their index in the
-    shard (every block's, the first time).  When the merge stops, it sends
-    the threshold ``tau``, which the worker reads before its next round; it
-    runs the shard's blocks, then ``rest``'s, ahead to it and sends their
-    records.  A failure sends its traceback in their place.
+    and after each round sends the ``news`` of the blocks picked, by their
+    index in the shard (every block's, the first time).  When the merge
+    stops, it sends the threshold ``tau``, which the worker reads before its
+    next round; it runs the shard's blocks, then ``rest``'s, ahead to it and
+    sends their records.  A failure sends its traceback in their place.
     """
     conn = pipes[index][1]
     for pair in pipes:
@@ -616,7 +669,7 @@ def _shard_worker(index, pipes, shard, rest, dico, criterion):
         while message is True:
             if credit and not conn.poll():
                 _pursue([rec.state for rec in records], dico, pick)
-                conn.send(("logs", [(i, records[i].log()) for i in picked]))
+                conn.send(("logs", [(i, records[i].news()) for i in picked]))
                 picked.clear()
                 credit -= 1
             else:   # read ahead, so that the threshold ends the rounds at once
@@ -670,15 +723,15 @@ def _pursue_in_workers(pilot, rest, dico, criterion, stop, workers):
         conns = [parent for parent, _ in pipes]
         for _, child in pipes:
             child.close()
-        logs = [None] * len(pilot)
+        logs = [_Record() for _ in pilot]
 
         def extend(q):
             # worker w holds blocks w, w + P, ...; asked before its next
             # round is taken, it keeps computing while the merge runs
             w = q % workers
             _send(conns[w], True)
-            for i, log in _receive(conns[w])[1]:
-                logs[i * workers + w] = log
+            for i, news in _receive(conns[w])[1]:
+                logs[i * workers + w].add(*news)
 
         for w in range(workers):
             extend(w)

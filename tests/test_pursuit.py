@@ -356,6 +356,163 @@ def test_panel_refresh_keeps_long_runs_healthy(rng):
     assert_state_invariants(state, d, block)
 
 
+@pytest.mark.parametrize("channels", [1, 6])
+def test_pursuit_leaves_the_callers_blocks_unchanged(rng, channels):
+    # the residual is a channel-major copy; a mono (N_b, 1) block is
+    # already Fortran-ordered, so a copy-if-needed would alias it
+    d = TrigDictionary(16, 32)
+    blocks = random_blocks(rng, 3, 16, channels)
+    if channels == 1:
+        blocks.append(rng.normal(size=16))   # 1-D: pursued as a (16, 1) view
+    before = [b.copy() for b in blocks]
+    hbw_pursuit(blocks, d, 12)
+    pursuit_to_snr(blocks, d, 20.0)
+    state = init_block_state(blocks[0], d, OOMP)
+    for _ in range(5):
+        if accept_candidate(state, d):
+            select_candidate(state, d, OOMP)
+    assert not np.shares_memory(state.residual, blocks[0])
+    for b, want in zip(blocks, before):
+        assert np.array_equal(b, want)
+
+
+@pytest.mark.parametrize("criterion", list(SelectionCriterion))
+def test_first_candidate_is_select_candidates_to_the_bit(rng, criterion):
+    # init_block_state picks a fresh block's candidate without the
+    # denominators; select_candidate on the same state must agree exactly
+    d = TrigDictionary(16, 32)
+    blocks = random_blocks(rng, 6, 16, 3)
+    blocks[1][:, 2] = 0.0                     # one silent channel
+    blocks[2] = np.zeros((16, 3))             # a silent block
+    blocks[3] = np.column_stack([d.atom(9)] * 3)   # an exact atom: ties across channels
+    blocks.append(rng.normal(size=(16, 1)))
+    for b in blocks:
+        state = init_block_state(b, d, criterion)
+        first = (state.candidate, state.gain, state.saturated)
+        state.candidate, state.gain = None, -np.inf
+        select_candidate(state, d, criterion)
+        again = (state.candidate, state.gain, state.saturated)
+        assert again == first
+        assert np.array_equal(np.float64(again[1]), np.float64(first[1]))
+        assert first[2] == (not b.any())
+
+
+def _first_pass_norm(state, dico, n):
+    """``|w|`` after one Gram-Schmidt pass of atom ``n`` against the state's basis."""
+    basis = state.ortho
+    w = dico.atom(n)
+    w -= basis.T @ (basis @ w)
+    return np.linalg.norm(w)
+
+
+def _accepted_with(monkeypatch, state, dico, n, reortho_norm):
+    """``(w row, r column)`` of accepting atom ``n`` into a copy of ``state``."""
+    import copy
+
+    monkeypatch.setattr(pursuit, "REORTHO_NORM", reortho_norm)
+    st = copy.deepcopy(state)
+    st.candidate = n
+    assert accept_candidate(st, dico)
+    k = st.atom_count - 1
+    return st.w[k].copy(), st.r[: k + 1, k].copy()
+
+
+def test_reorthogonalization_runs_only_when_the_first_pass_cancels(rng, monkeypatch):
+    d = TrigDictionary(32, 64)
+    state = init_block_state(rng.normal(size=(32, 2)), d, OOMP)
+    for _ in range(4):
+        assert accept_candidate(state, d)
+        select_candidate(state, d, OOMP)
+    eta = pursuit.REORTHO_NORM
+    assert eta == pytest.approx(2**-0.5)
+    norms = {n: _first_pass_norm(state, d, n) for n in range(1, d.num_atoms + 1)
+             if not state.blocked[n - 1]}
+    fresh = max(norms, key=norms.get)   # the most orthogonal atom to the span
+    near = min(norms, key=norms.get)    # the atom nearest the span
+    assert norms[fresh] > eta and norms[near] <= eta
+    never, always = 0.0, 2.0           # thresholds that skip / take every second pass
+    # a fresh atom: one pass, exactly as if re-orthogonalization were off
+    got = _accepted_with(monkeypatch, state, d, fresh, eta)
+    want = _accepted_with(monkeypatch, state, d, fresh, never)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # an atom nearly in the span takes the second pass, which changes its bits
+    got = _accepted_with(monkeypatch, state, d, near, eta)
+    want = _accepted_with(monkeypatch, state, d, near, always)
+    once = _accepted_with(monkeypatch, state, d, near, never)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert not all(np.array_equal(g, o) for g, o in zip(got, once))
+
+
+@pytest.mark.parametrize("nb, channels", [(8, 1), (32, 2), (64, 6)])
+def test_invariants_hold_at_full_rank_with_conditional_reorthogonalization(rng, nb,
+                                                                          channels):
+    # near full rank most atoms lie nearly in the span and take the second
+    # pass; the invariants keep their default bounds (1e-10 and 1e-8)
+    d = TrigDictionary(nb, 2 * nb)
+    block = rng.normal(size=(nb, channels))
+    state = init_block_state(block, d, OOMP)
+    first_pass = []
+    while not state.saturated:
+        first_pass.append(_first_pass_norm(state, d, state.candidate))
+        if accept_candidate(state, d):
+            select_candidate(state, d, OOMP)
+    assert state.atom_count == nb
+    assert min(first_pass) <= pursuit.REORTHO_NORM < max(first_pass)
+    assert_state_invariants(state, d, block)
+
+
+def test_pursuits_in_threads_at_once_match_serial_runs(rng):
+    # select_candidate's work arrays are per thread: pursuits running in
+    # several threads of one process must not see each other's
+    import threading
+
+    d = TrigDictionary(16, 32)
+    inputs = [random_blocks(rng, 4, 16, 2) for _ in range(4)]
+    want = [hbw_pursuit(blocks, d, 30) for blocks in inputs]
+    got = [[] for _ in inputs]
+
+    def run(i):
+        for _ in range(20):
+            got[i].append(hbw_pursuit(inputs[i], d, 30))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for runs, w in zip(got, want):
+        assert len(runs) == 20
+        for g in runs:
+            _assert_same_pursuit(g, w)
+
+
+def test_worker_news_rebuild_the_whole_log_once(rng):
+    # a worker sends only each block's entries since its last message
+    d = TrigDictionary(16, 32)
+    record = pursuit._Record(init_block_state(rng.normal(size=(16, 2)), d, OOMP))
+    state, log, sent = record.state, pursuit._Record(), 0
+    for picks in (3, 0, 5, 1):
+        for _ in range(picks):
+            gain = state.gain
+            accepted = accept_candidate(state, d)
+            if accepted:
+                select_candidate(state, d, OOMP)
+            record.note(gain, accepted)
+        news = record.news()
+        sent += len(news[0])
+        log.add(*news)
+        assert (log.gains, log.accepted, log.energies) == (
+            record.gains, record.accepted, record.energies)
+        assert log.head == state.gain
+    assert sent == len(record.gains) == 9
+
+
 @pytest.mark.parametrize("mode", ["budget", "snr"])
 def test_result_carries_each_blocks_factor_and_residual_energy(rng, mode):
     # the encoder's error model reads these instead of rebuilding the atoms

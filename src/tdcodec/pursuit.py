@@ -441,9 +441,8 @@ def _init_states(blocks, dico, criterion):
 
 
 def _energy(state: BlockState) -> float:
-    """The block's residual energy, summed over channels: one dot product."""
-    flat = state.residual.ravel(order="K")   # a view of the channel-major residual
-    return float(flat @ flat)
+    """The block's residual energy, summed over channels."""
+    return float(np.sum(np.square(state.residual)))
 
 
 class _Record:
@@ -597,13 +596,13 @@ def _pursue(states, dico, pick) -> bool:
 def _advance(record: _Record, dico, tau: float) -> _Record:
     """Pursue the record's block alone while its head gain is at least ``tau``; close it."""
     state = record.state
-    # _pursue over this one block, without its ranking
-    while state.candidate is not None and state.gain >= tau:
-        gain = state.gain
-        accepted = accept_candidate(state, dico)
-        if accepted:
-            select_candidate(state, dico, state.criterion)
-        record.note(gain, accepted)
+    if state.gain >= tau:
+
+        def pick(_q, gain, accepted):
+            record.note(gain, accepted)
+            return state.gain < tau
+
+        _pursue([state], dico, pick)
     return record.close()
 
 

@@ -1,17 +1,18 @@
 """Run the benchmark in alternating parent/change pairs and write a BENCH_*.json.
 
 Usage:
-    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \\
-        [--workload NAME ...] [--pairs 10] [--seed 7] [--seconds 60] \\
-        [--parent-commit SHA] [--note TEXT] [--claim METRIC:WORKLOAD]
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json
 
-``DIR`` is a checkout (``git archive`` of a commit, or a work tree) with
-``perfbench/`` and ``src/``; each run is ``perfbench/run.py`` from that
-checkout.  Odd pairs run the parent first, even pairs the change.  The
-output keeps every run's end-to-end metrics with their median and
-quartiles (inclusive method), and per workload the change/parent ratio of
-each pair for each metric.  ``--claim`` adds how many pairs the change
-won on one metric (lower is better for times, sizes and memory).
+``DIR`` is a checkout with ``perfbench/`` and ``src/``, best a ``git
+clone`` at the commit to measure, so that ``perfbench/run.py`` records
+its commit; each run is that checkout's ``perfbench/run.py --seed SEED
+--seconds SECONDS``.  Every workload gets ``PAIRS`` pairs; odd pairs run
+the parent first, even pairs the change.  The output keeps every run's
+end-to-end metrics with their median and quartiles (inclusive method),
+and per workload the change/parent ratio of each pair for each metric.
+Its ``claim`` says how many pairs the change won on ``CLAIM``'s metric
+and workload, with the median of the pair ratios and the ratio of the
+medians.
 """
 
 from __future__ import annotations
@@ -26,15 +27,19 @@ from statistics import median, quantiles
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import run  # noqa: E402  (perfbench/run.py: the workloads and the machine record)
 
-HIGHER_IS_BETTER = {"encode_atoms_per_s", "decoded_snr_db", "ok_rate"}
+PAIRS = 10
+SEED = 7
+SECONDS = 60
+CLAIM = ("encode_s_per_audio_s", "sparse-stereo")   # lower is better
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one ``perfbench/run.py`` (which pins BLAS to one thread)."""
+def run_once(checkout: Path, workload: str) -> tuple[dict, dict]:
+    """The detail and result lines of one ``perfbench/run.py`` (which pins BLAS to one thread)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(SEED), "--seconds", str(SECONDS)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    detail, result = proc.stdout.splitlines()[-2:]
+    return json.loads(detail)["detail"], json.loads(result)
 
 
 def summary(runs: list[dict]) -> dict:
@@ -53,55 +58,49 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--workload", action="append", help="default: every workload")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--seconds", type=float, default=60)
-    ap.add_argument("--parent-commit", default="unknown")
-    ap.add_argument("--note", default="")
-    ap.add_argument("--claim", default=None, help="METRIC:WORKLOAD")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2 for quartiles")
-    workloads = args.workload or list(run.WORKLOADS)
+    checkouts = {"parent": args.parent, "change": args.change}
 
     out = {
-        "change": args.note,
-        "parent_commit": args.parent_commit,
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g}",
-        "method": f"{args.pairs} alternating pairs per workload (odd pairs parent "
-                  "first); statistics over the per-run end-to-end metrics; quartiles "
-                  "by the inclusive method; ratios are change / parent per pair",
-        "machine": dict(run.machine(), blas_threads=1),
+        "commits": {},
+        "command": f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {SECONDS}",
+        "method": f"{PAIRS} alternating pairs per workload (odd pairs parent first); "
+                  "statistics over the per-run end-to-end metrics; quartiles by the "
+                  "inclusive method; ratios are change / parent per pair",
+        "machine": None,
         "workloads": {},
     }
-    del out["machine"]["commit"]   # of this checkout, which need be neither side
-    for workload in workloads:
+    for workload in run.WORKLOADS:
         runs = {"parent": [], "change": []}
-        for pair in range(1, args.pairs + 1):
-            order = ["parent", "change"] if pair % 2 else ["change", "parent"]
-            for side in order:
-                checkout = args.parent if side == "parent" else args.change
-                runs[side].append(run_once(checkout, workload, args.seed, args.seconds))
-                value = runs[side][-1]["metrics"]["encode_s_per_audio_s"]["value"]
+        for pair in range(1, PAIRS + 1):
+            for side in ["parent", "change"] if pair % 2 else ["change", "parent"]:
+                detail, result = run_once(checkouts[side], workload)
+                runs[side].append(result)
+                machine = dict(detail["machine"], blas_threads=1)
+                out["commits"][side] = machine.pop("commit")
+                out["machine"] = machine
+                value = result["metrics"]["encode_s_per_audio_s"]["value"]
                 print(f"{workload} pair {pair} {side}: encode {value:.4f} s/s", flush=True)
-        entry = {"seeds": [args.seed], "pairs": args.pairs,
-                 "parent": summary(runs["parent"]), "change": summary(runs["change"])}
-        entry["pair_ratios"] = {
-            name: [c["metrics"][name]["value"] / p["metrics"][name]["value"]
-                   if p["metrics"][name]["value"] else None
-                   for p, c in zip(runs["parent"], runs["change"])]
-            for name in runs["parent"][0]["metrics"]
+        out["workloads"][workload] = {
+            "seeds": [SEED], "pairs": PAIRS,
+            "parent": summary(runs["parent"]), "change": summary(runs["change"]),
+            "pair_ratios": {
+                name: [c["metrics"][name]["value"] / p["metrics"][name]["value"]
+                       if p["metrics"][name]["value"] else None
+                       for p, c in zip(runs["parent"], runs["change"])]
+                for name in runs["parent"][0]["metrics"]
+            },
         }
-        out["workloads"][workload] = entry
-    if args.claim:
-        metric, workload = args.claim.split(":")
-        ratios = out["workloads"][workload]["pair_ratios"][metric]
-        better = (lambda r: r > 1) if metric in HIGHER_IS_BETTER else (lambda r: r < 1)
-        out["claim"] = {"metric": metric, "workload": workload,
-                        "pairs_won": f"{sum(map(better, ratios))}/{len(ratios)}",
-                        "median_ratio": median(ratios)}
+    metric, workload = CLAIM
+    entry = out["workloads"][workload]
+    ratios = entry["pair_ratios"][metric]
+    out["claim"] = {
+        "metric": metric, "workload": workload,
+        "pairs_won": f"{sum(r < 1 for r in ratios)}/{len(ratios)}",
+        "median_ratio": median(ratios),
+        "ratio_of_medians": (entry["change"]["metrics"][metric]["median"]
+                             / entry["parent"]["metrics"][metric]["median"]),
+    }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

@@ -1,7 +1,7 @@
 """Encode the benchmark workloads and print one digest line per .tdc file.
 
 Usage:
-    python3 tools/tdc_digests.py [--root CHECKOUT] [--no-dense]
+    python3 tools/tdc_digests.py [--root CHECKOUT]
 
 Each line is ``label sha256 bytes atoms``.  The files are both
 ``perfbench`` workloads at seeds 7, 11 and 101 and ``--threads`` 1, 2
@@ -31,7 +31,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                     help="checkout whose src/ and perfbench/ are used (default: this one)")
-    ap.add_argument("--no-dense", action="store_true", help="skip the 10 s dense clip")
     args = ap.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -47,9 +46,8 @@ def main(argv=None) -> int:
         for seed in SEEDS
         for threads in THREADS
     ]
-    if not args.no_dense:
-        dense = corpus.harmonic_signal(DENSE["seed"], seconds=DENSE["seconds"])
-        jobs.append(("dense-seed0", dense, {"target_snr_db": DENSE["target_snr_db"]}))
+    dense = corpus.harmonic_signal(DENSE["seed"], seconds=DENSE["seconds"])
+    jobs.append(("dense-seed0", dense, {"target_snr_db": DENSE["target_snr_db"]}))
 
     with tempfile.TemporaryDirectory(prefix="tdc_digests-") as tmp:
         wav, tdc = Path(tmp) / "in.wav", Path(tmp) / "out.tdc"

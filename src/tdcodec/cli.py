@@ -34,9 +34,7 @@ from .dictionary import TrigDictionary
 # The decoder synthesizes with TrigDictionary.synthesize; perfbench/spans.py
 # still looks synthesize_block up on this module by name.
 from .dictionary import synthesize_block  # noqa: F401
-from .entropy import EntropyDecodeError
 from .pursuit import PursuitResult, SelectionCriterion, hbw_pursuit, pursuit_to_snr
-from .quantize import StreamError
 
 __all__ = [
     "EncodeConfig",
@@ -53,13 +51,6 @@ __all__ = [
 SNR_MATCH_TOL_DB = 0.05
 DELTA_SEARCH_ITERS = 40
 DEFAULT_BUDGET_DELTA = 1e-8
-
-_CRITERIA = {
-    "oomp": SelectionCriterion.OOMPML,
-    "omp": SelectionCriterion.MMV_OMP,
-    "somp": SelectionCriterion.SOMP,
-}
-
 
 class UsageError(Exception):
     pass
@@ -438,7 +429,9 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--delta", type=float, default=None)
     enc.add_argument("--block", type=int, default=1024)
     enc.add_argument("--redundancy", type=int, default=4)
-    enc.add_argument("--criterion", choices=sorted(_CRITERIA), default="oomp")
+    enc.add_argument(
+        "--criterion", choices=sorted(c.value for c in SelectionCriterion), default="oomp"
+    )
     enc.add_argument("--overshoot", type=float, default=3.0)
     enc.add_argument(
         "--threads", type=int, default=1,
@@ -473,7 +466,7 @@ def main(argv=None) -> int:
                 output_path=args.output,
                 block_size=args.block,
                 redundancy=args.redundancy,
-                criterion=_CRITERIA[args.criterion],
+                criterion=SelectionCriterion(args.criterion),
                 target_snr_db=args.snr,
                 overshoot_db=args.overshoot,
                 delta=args.delta,
@@ -494,13 +487,7 @@ def main(argv=None) -> int:
     except TargetUnreachableError as exc:
         print(f"target unreachable: {exc}", file=sys.stderr)
         return 4
-    except (
-        container.ContainerError,
-        StreamError,
-        EntropyDecodeError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (container.ContainerError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -147,8 +147,6 @@ class TdcHeader:
     total_atoms: int
     delta: float
     stream_records: list[StreamRecord]
-    header_checksum: int
-    payload_checksum: int
 
 
 # --- WAV ------------------------------------------------------------------
@@ -216,6 +214,7 @@ def read_wav(path) -> MultichannelSignal:
     )
     if channels < 1:
         raise FormatError("channel count must be >= 1")
+    _check_rate(sample_rate)
     if audio_format == _EXTENSIBLE:
         audio_format = _sub_format(fmt)
     decode = _WAV_DECODERS.get((audio_format, bits))
@@ -246,6 +245,11 @@ def _sub_format(fmt: bytes) -> int:
     return tag
 
 
+def _check_rate(sample_rate: int) -> None:
+    if sample_rate < 1:
+        raise FormatError(f"sample rate {sample_rate} Hz must be >= 1")
+
+
 def _framed(payload: bytes, frame: int) -> bytes:
     if len(payload) % frame:
         raise FormatError("data chunk is not a whole number of frames")
@@ -260,6 +264,7 @@ def write_wav(path, signal: MultichannelSignal) -> None:
     fresh pages on every call once the process heap is small.
     """
     n_channels = signal.samples.shape[1]
+    _check_rate(signal.sample_rate)
     if signal.samples.size * 2 > WAV_MAX_DATA_BYTES:
         raise FormatError(
             f"{signal.samples.size} samples exceed what a 16-bit WAV can hold"
@@ -362,6 +367,7 @@ def write_tdc(
         raise FormatError(
             f"block geometry mismatch: Q={q}, block_size={block_size}, N={length}"
         )
+    _check_rate(sample_rate)
     _check_output_size(q, block_size, qset.channel_count)
     if not qset.delta > 0 or not np.isfinite(qset.delta):
         raise FormatError("delta must be a positive finite float")
@@ -447,6 +453,7 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
 
     if channels < 1:
         raise FormatError("channel count must be >= 1")
+    _check_rate(sample_rate)
     if block_size < 2 or half_size < block_size:
         raise FormatError("bad dictionary geometry in header")
     if block_size > MAX_BLOCK_SIZE or half_size > MAX_HALF_SIZE:
@@ -523,8 +530,6 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
         total_atoms=k,
         delta=delta,
         stream_records=records,
-        header_checksum=header_crc,
-        payload_checksum=payload_crc,
     )
     qset = QuantizedBlockSet(
         delta=delta,

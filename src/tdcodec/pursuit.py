@@ -6,7 +6,10 @@ selection criteria; across blocks, each step upgrades the single block
 whose candidate yields the largest drop of the total residual energy
 (the hierarchized block-wise strategy).  Every block keeps its
 candidate's gain, and the loop keeps those gains in one vector, so
-ranking is one ``argmax`` and a step rewrites a single entry.
+ranking is one ``argmax`` and a step rewrites a single entry.  A step
+is one ``accept_candidate``, which ends by selecting the block's next
+candidate, as ``init_block_state`` selects its first: through
+``select_candidate``, the one place that picks.
 
 The selected subspace of a block is tracked by Gram-Schmidt with
 conditional re-orthogonalization: a new atom gets a second pass only when
@@ -101,11 +104,11 @@ ROUND = 32                 # picks a worker makes per request of the merge
 
 
 class SelectionCriterion(Enum):
-    """Per-block atom selection rule."""
+    """Per-block atom selection rule; its value is the name ``--criterion`` takes."""
 
-    SOMP = "somp"          # maximize sum_j |<d, r_j>|
-    MMV_OMP = "mmv_omp"    # maximize sum_j |<d, r_j>|^2
-    OOMPML = "oompml"      # maximize sum_j |<d, r_j>|^2 / (1 - S_n)
+    SOMP = "somp"      # maximize sum_j |<d, r_j>|
+    MMV_OMP = "omp"    # maximize sum_j |<d, r_j>|^2
+    OOMPML = "oomp"    # maximize sum_j |<d, r_j>|^2 / (1 - S_n)
 
 
 @dataclass
@@ -219,7 +222,8 @@ def init_block_state(
     """Fresh state of one block, with its first candidate selected.
 
     ``res_ip`` is the block's ``(2M, L)`` panel if the caller has already
-    computed it; otherwise it is computed here.
+    computed it; otherwise it is computed here.  A silent block, whose
+    every gain is zero, starts saturated.
     """
     block = _check_block(block, dico)
     n_atoms = dico.num_atoms
@@ -238,15 +242,9 @@ def init_block_state(
         blocked=np.zeros(n_atoms, dtype=bool),
     )
     if silent:
-        # silent block: every gain is zero, never worth an atom
         state.saturated = True
-        return state
-    # no atom yet: every denominator is exactly 1 and nothing is blocked, so
-    # this is select_candidate's pick and gain
-    sq = np.einsum("nj,nj->n", res_ip, res_ip)
-    scores = np.abs(res_ip).sum(axis=1) if criterion is SelectionCriterion.SOMP else sq
-    n0 = int(np.argmax(scores))
-    state.candidate, state.gain = n0 + 1, float(sq[n0])
+    else:
+        select_candidate(state, dico)
     return state
 
 
@@ -256,21 +254,21 @@ def _saturate(state: BlockState) -> None:
     state.saturated = True
 
 
-def select_candidate(
-    state: BlockState, dico: TrigDictionary, criterion: SelectionCriterion
-) -> None:
-    """Refresh the block's candidate atom and its gain under ``criterion``.
+def select_candidate(state: BlockState, dico: TrigDictionary) -> None:
+    """Select the block's next candidate atom and its gain under ``state.criterion``.
 
     The candidate's ranking gain is the residual-energy drop its
     acceptance would realize, which is the quantity the block ranker
-    compares across blocks regardless of criterion.  Works in this
-    thread's ``_buffers``, so a step allocates no arrays.
+    compares across blocks regardless of criterion.  A block at full
+    rank, or with no atom left, saturates.  Works in this thread's
+    ``_buffers``, so a step allocates no arrays.
     """
     if state.saturated:
         return
     if len(state.selected) >= _max_atoms(dico):
         _saturate(state)
         return
+    criterion = state.criterion
     denom, sq, scores, free = _buffers(state.s_sums.size)
     res_ip = state.res_ip
     np.einsum("nj,nj->n", res_ip, res_ip, out=sq)
@@ -326,11 +324,11 @@ def _grow(state: BlockState, dico: TrigDictionary) -> None:
 
 
 def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
-    """Incorporate the candidate atom into the block's decomposition.
+    """One step of the block: take in its candidate atom, then select the next.
 
     Returns False when the atom turned out numerically dependent; it is
-    then excluded and a fresh candidate is selected, leaving the caller
-    to re-rank.
+    then excluded instead.  Either way the block ends the step with its
+    next candidate and gain, or saturated, and the caller only re-ranks.
 
     Re-orthogonalization is conditional (see the module docstring): the
     atom has unit norm, so when one Gram-Schmidt pass leaves more than
@@ -360,7 +358,7 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
                 norm = math.sqrt(w @ w)
     if norm <= DEPENDENCY_FLOOR:
         state.blocked[n - 1] = True
-        select_candidate(state, dico, state.criterion)
+        select_candidate(state, dico)
         return False
 
     if k == state.w.shape[0]:
@@ -387,10 +385,7 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
     state.s_sums += panel
     if len(state.selected) % REFRESH_INTERVAL == 0:
         state.res_ip = _panel(dico, state.residual)
-    state.candidate = None
-    state.gain = -np.inf
-    if len(state.selected) >= _max_atoms(dico):
-        state.saturated = True
+    select_candidate(state, dico)
     return True
 
 
@@ -536,7 +531,7 @@ class _Budget:
     def __init__(self, budget: int):
         self.left = budget
 
-    def __call__(self, q: int, energy) -> bool:
+    def __call__(self, q: int, energy: float) -> bool:
         self.left -= 1
         return self.left <= 0
 
@@ -548,7 +543,7 @@ class _Budget:
 class _SnrTarget:
     """Stop rule: the first atom whose running SNR reaches ``target`` ends it.
 
-    ``energy()`` is block ``q``'s residual energy after its new atom; the
+    ``energy`` is block ``q``'s residual energy after its new atom; the
     running SNR sums the per-block energies, so it matches a from-scratch
     residual computation to numerical accuracy.  ``trace`` keeps it.
     """
@@ -559,8 +554,8 @@ class _SnrTarget:
         self.target = target
         self.trace: list[float] = []
 
-    def __call__(self, q: int, energy) -> bool:
-        self.residual[q] = energy()
+    def __call__(self, q: int, energy: float) -> bool:
+        self.residual[q] = energy
         self.trace.append(snr_from_energies(self.signal, float(self.residual.sum())))
         return self.trace[-1] >= self.target
 
@@ -572,11 +567,11 @@ class _SnrTarget:
 def _pursue(states, dico, pick) -> bool:
     """Upgrade the best-ranked block, one atom at a time, until ``pick`` ends it.
 
-    ``pick(q, gain, accepted)`` is called after every pick of block ``q``,
-    with the gain it was ranked by and whether or not its atom was
-    accepted, once the block has its next candidate; it returns True to
-    end the pursuit.  Returns True when the states saturated before
-    ``pick`` ended it.
+    Each pick is one ``accept_candidate``, which leaves the block holding
+    its next candidate.  ``pick(q, gain, accepted)`` is called after every
+    pick of block ``q``, with the gain it was ranked by and whether or not
+    its atom was accepted; it returns True to end the pursuit.  Returns
+    True when the states saturated before ``pick`` ended it.
     """
     gains = np.array([st.gain for st in states])
     while True:
@@ -586,8 +581,6 @@ def _pursue(states, dico, pick) -> bool:
         state = states[q]
         gain = float(gains[q])
         accepted = accept_candidate(state, dico)
-        if accepted:
-            select_candidate(state, dico, state.criterion)
         gains[q] = state.gain
         if pick(q, gain, accepted):
             return False
@@ -630,7 +623,7 @@ def _pursue_in_process(pilot, rest, dico, criterion, stop):
         nonlocal last_gain
         last_gain = gain
         records[q].note(gain, accepted)
-        return accepted and stop(q, lambda: records[q].energies[-1])
+        return accepted and stop(q, records[q].energies[-1])
 
     saturated = _pursue([rec.state for rec in records], dico, pick)
     counts = [rec.state.atom_count for rec in records]
@@ -783,7 +776,7 @@ def _merge_records(records: list[_Record], stop, extend):
         taken[q] += 1
         if accepted:
             counts[q] += 1
-            if stop(q, lambda: rec.energies[counts[q]]):
+            if stop(q, rec.energies[counts[q]]):
                 return False, counts, last_gain
         head = rec.gain_at(taken[q])
         if head == -np.inf:

@@ -75,49 +75,36 @@ def serialize_decompositions(decompositions, delta: float) -> QuantizedBlockSet:
     if not decompositions:
         raise ValueError("need at least one block")
     channels = decompositions[0].coefficients.shape[1]
-
-    index_parts: list[np.ndarray] = []
-    mag_parts: list[np.ndarray] = []
-    sign_parts: list[np.ndarray] = []
-    for q, dec in enumerate(decompositions):
-        idx = np.asarray(dec.indices, dtype=np.int64)
-        coef = np.asarray(dec.coefficients, dtype=float)
+    indices = [np.asarray(dec.indices, dtype=np.int64) for dec in decompositions]
+    coefs = [np.asarray(dec.coefficients, dtype=float) for dec in decompositions]
+    for q, (idx, coef) in enumerate(zip(indices, coefs)):
         if coef.shape != (idx.size, channels):
             raise ValueError(f"block {q}: coefficient shape {coef.shape} mismatch")
-        if idx.size:
-            if idx.min() < 1:
-                raise ValueError(f"block {q}: atom indices must be >= 1")
-            if np.unique(idx).size != idx.size:
-                raise ValueError(f"block {q}: duplicate atom index")
-            order = np.argsort(idx, kind="stable")
-            idx = idx[order]
-            coef = coef[order]
-            seg = np.empty_like(idx)
-            seg[0] = idx[0]
-            seg[1:] = np.diff(idx)
-        else:
-            seg = idx
-        levels = quantize_levels(coef, delta)
-        mags = np.abs(levels)
-        signs = (levels < 0).astype(np.uint8)
-        index_parts.append(seg)
-        mag_parts.append(mags)
-        sign_parts.append(signs)
 
-    sep = np.zeros(1, dtype=np.int64)
-    pieces: list[np.ndarray] = []
-    for q, seg in enumerate(index_parts):
-        if q:
-            pieces.append(sep)
-        pieces.append(seg)
-    index_stream = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-    mags_all = np.concatenate(mag_parts, axis=0)
-    signs_all = np.concatenate(sign_parts, axis=0)
+    # every atom at once, ordered by block, then index
+    counts = [idx.size for idx in indices]
+    block = np.repeat(np.arange(len(indices)), counts)
+    idx, coef = np.concatenate(indices), np.concatenate(coefs)
+    order = np.lexsort((idx, block))
+    idx, block, coef = idx[order], block[order], coef[order]
+    bad = idx < 1
+    if bad.any():
+        raise ValueError(f"block {block[bad.argmax()]}: atom indices must be >= 1")
+    # a block's first atom keeps its index, every other its gap to the last
+    first = np.diff(block, prepend=-1) != 0
+    gaps = np.where(first, idx, np.diff(idx, prepend=0))
+    bad = gaps == 0
+    if bad.any():
+        raise ValueError(f"block {block[bad.argmax()]}: duplicate atom index")
+    levels = quantize_levels(coef, delta)
+    mags = np.abs(levels)
+    signs = (levels < 0).astype(np.uint8)
     return QuantizedBlockSet(
         delta=float(delta),
-        index_stream=index_stream,
-        coeff_streams=[mags_all[:, j].copy() for j in range(channels)],
-        sign_streams=[signs_all[:, j].copy() for j in range(channels)],
+        # a 0 separates each block from the one before it
+        index_stream=np.insert(gaps, np.cumsum(counts)[:-1], 0),
+        coeff_streams=[mags[:, j].copy() for j in range(channels)],
+        sign_streams=[signs[:, j].copy() for j in range(channels)],
         block_count=len(decompositions),
         channel_count=channels,
     )

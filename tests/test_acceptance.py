@@ -18,7 +18,6 @@ from tdcodec import (
     hbw_pursuit,
     init_block_state,
     accept_candidate,
-    select_candidate,
     rank_blocks,
     parse_streams,
     pursuit_to_snr,
@@ -76,7 +75,6 @@ def test_criterion_1_pursuit_matches_brute_force_oracle():
                             break
                         assert accept_candidate(states[qq], d)
                         got_seq.append((qq, states[qq].selected[-1]))
-                        select_candidate(states[qq], d, OOMP)
                     assert got_seq == want_seq, f"instance {instances} diverged"
                     assert [st.selected for st in states] == want_sel
                     instances += 1
@@ -138,8 +136,7 @@ def test_criterion_3_numerical_invariants_on_pursuit_runs():
             for _ in range(steps):
                 if state.saturated:
                     break
-                if accept_candidate(state, d):
-                    select_candidate(state, d, criterion)
+                accept_candidate(state, d)
             assert_state_invariants(
                 state, d, block, ortho_tol=1e-10, bior_tol=1e-8, energy_tol=1e-7
             )

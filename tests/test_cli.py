@@ -1,5 +1,6 @@
 import csv
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -219,6 +220,20 @@ def test_main_io_errors_exit_3(tmp_path, wav_in):
     corrupt.write_bytes(b"XXXX" + bytes(60))
     assert main(["decode", "--in", str(corrupt), "--out", "x.wav"]) == 3
     assert main(["info", str(corrupt)]) == 3
+
+
+def test_a_wav_with_sample_rate_zero_is_refused_before_encoding(tmp_path, wav_in,
+                                                                 capsys):
+    # refused as the WAV is read, so no pursuit runs and no file is written
+    blob = bytearray(wav_in.read_bytes())
+    struct.pack_into("<I", blob, 24, 0)   # the fmt chunk's sample rate
+    wav_in.write_bytes(bytes(blob))
+    out = tmp_path / "o.tdc"
+    code = main(["encode", "--in", str(wav_in), "--out", str(out), "--snr", "20",
+                 "--block", str(NB)])
+    assert code == 3
+    assert "sample rate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_version_mismatch_flagged(tmp_path, wav_in, capsys):

@@ -368,6 +368,35 @@ def test_hostile_index_symbol_count_is_rejected_before_decoding(tmp_path, rng):
     assert main(["info", str(path)]) == 3
 
 
+def test_a_sample_rate_of_zero_is_refused_by_every_reader_and_writer(tmp_path, rng):
+    with pytest.raises(FormatError, match="sample rate"):
+        write_tdc(make_qset(rng), sample_rate=0, original_length=33,
+                  block_size=16, half_size=32)
+    with pytest.raises(FormatError, match="sample rate"):
+        write_wav(tmp_path / "x.wav", MultichannelSignal(np.zeros((4, 1)), 0))
+    wav = tmp_path / "rate0.wav"
+    write_wav(wav, MultichannelSignal(np.zeros((4, 1)), 8000))
+    blob = bytearray(wav.read_bytes())
+    struct.pack_into("<I", blob, 24, 0)               # the fmt chunk's sample rate
+    wav.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="sample rate"):
+        read_wav(wav)
+
+    blob = bytearray(
+        write_tdc(make_qset(rng), sample_rate=8000, original_length=33,
+                  block_size=16, half_size=32)
+    )
+    struct.pack_into("<I", blob, 6, 0)                # sample_rate
+    bad = _reseal(blob)
+    with pytest.raises(FormatError, match="sample rate"):
+        read_tdc(bad)
+    path = tmp_path / "rate0.tdc"
+    path.write_bytes(bad)
+    assert main(["decode", "--in", str(path), "--out", str(tmp_path / "x.wav")]) == 3
+    assert not (tmp_path / "x.wav").exists()
+    assert main(["info", str(path)]) == 3
+
+
 def test_output_longer_than_any_wav_is_rejected_before_decoding(tmp_path, rng):
     blob = bytearray(
         write_tdc(make_qset(rng), sample_rate=8000, original_length=33,

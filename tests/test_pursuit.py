@@ -45,7 +45,7 @@ def test_single_atom_block_selects_that_atom():
     assert np.linalg.norm(state.residual) <= 1e-12
 
 
-def _fabricated_state(dico, ip_rows):
+def _fabricated_state(dico, ip_rows, criterion=OOMP):
     n_atoms = dico.num_atoms
     res_ip = np.zeros((n_atoms, 2))
     for n, row in ip_rows.items():
@@ -55,7 +55,7 @@ def _fabricated_state(dico, ip_rows):
         residual=np.zeros((dico.block_size, 2)),
         res_ip=res_ip,
         s_sums=np.zeros(n_atoms),
-        criterion=OOMP,
+        criterion=criterion,
         blocked=np.zeros(n_atoms, dtype=bool),
     )
 
@@ -64,14 +64,14 @@ def test_criterion_aggregations_differ_as_designed():
     # atom a: products (0.6, 0.0); atom b: (0.45, 0.45)
     d = TrigDictionary(8, 16)
     ips = {3: (0.6, 0.0), 5: (0.45, 0.45)}
-    st = _fabricated_state(d, ips)
-    select_candidate(st, d, SelectionCriterion.SOMP)
+    st = _fabricated_state(d, ips, SelectionCriterion.SOMP)
+    select_candidate(st, d)
     assert st.candidate == 5        # 0.9 beats 0.6
-    st = _fabricated_state(d, ips)
-    select_candidate(st, d, SelectionCriterion.MMV_OMP)
+    st = _fabricated_state(d, ips, SelectionCriterion.MMV_OMP)
+    select_candidate(st, d)
     assert st.candidate == 5        # 0.405 beats 0.36
-    st = _fabricated_state(d, ips)
-    select_candidate(st, d, OOMP)
+    st = _fabricated_state(d, ips, OOMP)
+    select_candidate(st, d)
     assert st.candidate == 5
 
 
@@ -89,7 +89,6 @@ def test_selection_matches_exhaustive_least_squares_oracle(rng, channels):
         assert state.candidate == want
         assert accept_candidate(state, d)
         chosen.append(state.selected[-1])
-        select_candidate(state, d, OOMP)
     assert chosen == state.selected
 
 
@@ -97,8 +96,8 @@ def test_rank_blocks_picks_largest_gain_and_breaks_ties_low():
     d = TrigDictionary(8, 16)
     hi = _fabricated_state(d, {1: (0.9, 0.0)})
     lo = _fabricated_state(d, {1: (0.4, 0.0)})
-    select_candidate(hi, d, OOMP)
-    select_candidate(lo, d, OOMP)
+    select_candidate(hi, d)
+    select_candidate(lo, d)
     assert rank_blocks([hi.gain, lo.gain]) == 0
     assert rank_blocks([lo.gain, hi.gain]) == 1
     assert rank_blocks([hi.gain, hi.gain]) == 0  # tie: smallest block index
@@ -146,8 +145,7 @@ def test_state_invariants_on_random_runs(rng, nb, channels):
         for _ in range(nb // 2):
             if state.saturated:
                 break
-            if accept_candidate(state, d):
-                select_candidate(state, d, OOMP)
+            accept_candidate(state, d)
             assert_state_invariants(state, d, block)
 
 
@@ -156,8 +154,7 @@ def test_invariants_hold_at_full_rank(rng):
     block = rng.normal(size=(8, 1))
     state = init_block_state(block, d, OOMP)
     while not state.saturated:
-        if accept_candidate(state, d):
-            select_candidate(state, d, OOMP)
+        accept_candidate(state, d)
         assert state.w.shape[0] <= min(d.block_size, d.num_atoms)
     assert len(state.selected) == 8
     assert state.gain == -np.inf
@@ -174,7 +171,6 @@ def test_w_capacity_doubles_from_eight_up_to_the_block_size(rng):
     while not state.saturated:
         if accept_candidate(state, d):
             seen.add(state.w.shape[0])
-            select_candidate(state, d, OOMP)
     assert seen == {8, 16, 32, 64}
     assert state.r.shape == (64, 64)
 
@@ -183,7 +179,6 @@ def test_dependency_rejection_updates_the_gain(rng):
     d = TrigDictionary(8, 16)
     state = init_block_state(rng.normal(size=(8, 2)), d, OOMP)
     assert accept_candidate(state, d)
-    select_candidate(state, d, OOMP)
     first = state.selected[0]
     # an atom already in the span is numerically dependent: rejected,
     # excluded, and the block moves on to a fresh candidate
@@ -217,7 +212,6 @@ def test_coefficients_match_normal_equations(rng):
     state = init_block_state(block, d, OOMP)
     for _ in range(4):
         accept_candidate(state, d)
-        select_candidate(state, d, OOMP)
     coef = compute_coefficients(state)
     want, _ = lstsq_fit(d, state.selected, block)
     assert coef == pytest.approx(want, rel=1e-7, abs=1e-9)
@@ -264,7 +258,6 @@ def test_hbw_sequence_matches_brute_force_oracle(rng):
             break
         assert accept_candidate(states[q], d)
         got_seq.append((q, states[q].selected[-1]))
-        select_candidate(states[q], d, OOMP)
     assert got_seq == want_seq
     assert [st.selected for st in states] == want_sel
 
@@ -350,8 +343,7 @@ def test_panel_refresh_keeps_long_runs_healthy(rng):
     for _ in range(40):
         if state.saturated:
             break
-        if accept_candidate(state, d):
-            select_candidate(state, d, OOMP)
+        accept_candidate(state, d)
     assert state.atom_count >= 40 or state.saturated
     assert_state_invariants(state, d, block)
 
@@ -369,17 +361,17 @@ def test_pursuit_leaves_the_callers_blocks_unchanged(rng, channels):
     pursuit_to_snr(blocks, d, 20.0)
     state = init_block_state(blocks[0], d, OOMP)
     for _ in range(5):
-        if accept_candidate(state, d):
-            select_candidate(state, d, OOMP)
+        accept_candidate(state, d)
     assert not np.shares_memory(state.residual, blocks[0])
     for b, want in zip(blocks, before):
         assert np.array_equal(b, want)
 
 
 @pytest.mark.parametrize("criterion", list(SelectionCriterion))
-def test_first_candidate_is_select_candidates_to_the_bit(rng, criterion):
-    # init_block_state picks a fresh block's candidate without the
-    # denominators; select_candidate on the same state must agree exactly
+def test_first_candidate_is_the_argmax_of_the_panel_to_the_bit(rng, criterion):
+    # no atom yet: every denominator is exactly 1 and nothing is blocked, so
+    # the first pick is the argmax of the panel's energies (of its absolute
+    # sums under SOMP), and its gain is that atom's energy
     d = TrigDictionary(16, 32)
     blocks = random_blocks(rng, 6, 16, 3)
     blocks[1][:, 2] = 0.0                     # one silent channel
@@ -388,13 +380,57 @@ def test_first_candidate_is_select_candidates_to_the_bit(rng, criterion):
     blocks.append(rng.normal(size=(16, 1)))
     for b in blocks:
         state = init_block_state(b, d, criterion)
-        first = (state.candidate, state.gain, state.saturated)
-        state.candidate, state.gain = None, -np.inf
-        select_candidate(state, d, criterion)
-        again = (state.candidate, state.gain, state.saturated)
-        assert again == first
-        assert np.array_equal(np.float64(again[1]), np.float64(first[1]))
-        assert first[2] == (not b.any())
+        assert state.saturated == (not b.any())
+        if state.saturated:
+            assert (state.candidate, state.gain) == (None, -np.inf)
+            continue
+        # summed channel after channel, as select_candidate does
+        panel = [d.all_inner_products(channel) for channel in b.T]
+        energies = sum(p * p for p in panel)
+        scores = sum(map(np.abs, panel)) if criterion is SelectionCriterion.SOMP else energies
+        n0 = int(np.argmax(scores))
+        assert state.candidate == n0 + 1
+        assert np.array_equal(np.float64(state.gain), energies[n0])
+
+
+def _assert_holds_its_next_candidate(state, dico):
+    """The state's candidate, gain and saturation are those of selecting afresh."""
+    import copy
+
+    again = copy.deepcopy(state)
+    again.candidate, again.gain, again.saturated = None, -np.inf, False
+    select_candidate(again, dico)
+    assert (state.candidate, state.gain, state.saturated) == (
+        again.candidate, again.gain, again.saturated)
+
+
+@pytest.mark.parametrize("criterion", list(SelectionCriterion))
+def test_every_accept_leaves_the_next_candidate_in_place(rng, criterion):
+    # a full-rank 8x1 run: the accept that fills the block saturates it
+    d = TrigDictionary(8, 16)
+    state = init_block_state(rng.normal(size=(8, 1)), d, criterion)
+    _assert_holds_its_next_candidate(state, d)
+    while not state.saturated:
+        assert accept_candidate(state, d)
+        _assert_holds_its_next_candidate(state, d)
+        assert state.saturated == (state.atom_count == 8)
+    assert (state.candidate, state.gain) == (None, -np.inf)
+
+    # dependency rejections: an atom already in the span, then one with
+    # nothing else left to try
+    state = init_block_state(rng.normal(size=(8, 2)), d, criterion)
+    assert accept_candidate(state, d)
+    first = state.selected[0]
+    state.candidate = first
+    assert not accept_candidate(state, d)
+    _assert_holds_its_next_candidate(state, d)
+    assert state.candidate not in (None, first)
+    state.blocked[:] = True
+    state.blocked[first - 1] = False
+    state.candidate = first
+    assert not accept_candidate(state, d)
+    _assert_holds_its_next_candidate(state, d)
+    assert state.saturated
 
 
 def _first_pass_norm(state, dico, n):
@@ -422,7 +458,6 @@ def test_reorthogonalization_runs_only_when_the_first_pass_cancels(rng, monkeypa
     state = init_block_state(rng.normal(size=(32, 2)), d, OOMP)
     for _ in range(4):
         assert accept_candidate(state, d)
-        select_candidate(state, d, OOMP)
     eta = pursuit.REORTHO_NORM
     assert eta == pytest.approx(2**-0.5)
     norms = {n: _first_pass_norm(state, d, n) for n in range(1, d.num_atoms + 1)
@@ -454,8 +489,7 @@ def test_invariants_hold_at_full_rank_with_conditional_reorthogonalization(rng, 
     first_pass = []
     while not state.saturated:
         first_pass.append(_first_pass_norm(state, d, state.candidate))
-        if accept_candidate(state, d):
-            select_candidate(state, d, OOMP)
+        accept_candidate(state, d)
     assert state.atom_count == nb
     assert min(first_pass) <= pursuit.REORTHO_NORM < max(first_pass)
     assert_state_invariants(state, d, block)
@@ -501,8 +535,6 @@ def test_worker_news_rebuild_the_whole_log_once(rng):
         for _ in range(picks):
             gain = state.gain
             accepted = accept_candidate(state, d)
-            if accepted:
-                select_candidate(state, d, OOMP)
             record.note(gain, accepted)
         news = record.news()
         sent += len(news[0])
@@ -630,7 +662,6 @@ def test_monotone_residual_reduction(rng):
         cur = float(np.sum(state.residual**2))
         assert cur < last
         last = cur
-        select_candidate(state, d, OOMP)
 
 
 # --- worker processes --------------------------------------------------------
@@ -694,7 +725,7 @@ def _rejecting(rule, tally):
         if rule(state, state.candidate):
             tally["rejections"] += 1
             state.blocked[state.candidate - 1] = True
-            pursuit.select_candidate(state, dico, state.criterion)
+            pursuit.select_candidate(state, dico)
             return False
         return real(state, dico)
 
@@ -936,7 +967,6 @@ def test_truncating_a_block_that_ran_ahead_equals_stopping_it_there(rng):
         while state.atom_count < atoms:
             if accept_candidate(state, d):
                 energies.append(pursuit._energy(state))
-                select_candidate(state, d, OOMP)
         return state, energies
 
     ahead, energies = run(12)

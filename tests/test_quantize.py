@@ -84,6 +84,22 @@ def test_duplicate_index_rejected():
         serialize_decompositions([dec([3, 3], np.ones((2, 1)))], 1.0)
 
 
+def test_each_refusal_names_the_lowest_block_at_fault():
+    ok = dec([4, 2], np.ones((2, 1)))
+    empty = dec([], np.zeros((0, 1)))
+    cases = [
+        ([ok, dec([1], np.ones((2, 1))), empty, dec([5], np.ones((1, 2)))],
+         "block 1: coefficient shape"),
+        ([ok, empty, dec([3, 0], np.ones((2, 1))), dec([-1], np.ones((1, 1)))],
+         "block 2: atom indices must be >= 1"),
+        ([ok, empty, ok, dec([7, 1, 7], np.ones((3, 1))), dec([2, 2], np.ones((2, 1)))],
+         "block 3: duplicate atom index"),
+    ]
+    for decompositions, message in cases:
+        with pytest.raises(ValueError, match=message):
+            serialize_decompositions(decompositions, 1.0)
+
+
 def test_parse_rebuilds_indices_by_cumulative_sum():
     qs = QuantizedBlockSet(
         delta=1.0,

@@ -6,7 +6,8 @@ Usage:
 Each line is ``label sha256 bytes atoms``.  The files are both
 ``perfbench`` workloads at seeds 7, 11 and 101 and ``--threads`` 1, 2
 and 3, plus the dense clip (``harmonic_signal(0)``, stereo, 10 s,
-``--snr 30``).  The inputs come from ``perfbench/corpus.py`` and the
+``--snr 30``) and its first 3 s at ``--criterion somp`` and ``omp``,
+which no workload selects by.  The inputs come from ``perfbench/corpus.py`` and the
 workload settings from ``perfbench/run.py``, both only read.  Run it in
 two checkouts and ``diff`` the outputs to check a byte-identity claim;
 ``--root`` encodes with another checkout's ``src/`` and ``perfbench/``,
@@ -25,6 +26,10 @@ from pathlib import Path
 SEEDS = (7, 11, 101)
 THREADS = (1, 2, 3)
 DENSE = {"seed": 0, "seconds": 10, "target_snr_db": 30.0}
+# (label, SelectionCriterion member): looked up by name, which every
+# checkout's enum shares
+CRITERIA = (("somp", "SOMP"), ("omp", "MMV_OMP"))
+CRITERIA_SECONDS = 3
 
 
 def main(argv=None) -> int:
@@ -48,6 +53,11 @@ def main(argv=None) -> int:
     ]
     dense = corpus.harmonic_signal(DENSE["seed"], seconds=DENSE["seconds"])
     jobs.append(("dense-seed0", dense, {"target_snr_db": DENSE["target_snr_db"]}))
+    short = corpus.harmonic_signal(DENSE["seed"], seconds=CRITERIA_SECONDS)
+    for label, member in CRITERIA:
+        jobs.append((f"dense-seed0-3s-{label}", short,
+                     {"target_snr_db": DENSE["target_snr_db"],
+                      "criterion": cli.SelectionCriterion[member]}))
 
     with tempfile.TemporaryDirectory(prefix="tdc_digests-") as tmp:
         wav, tdc = Path(tmp) / "in.wav", Path(tmp) / "out.tdc"

@@ -57,9 +57,7 @@ class UsageError(Exception):
 
 
 class TargetUnreachableError(Exception):
-    def __init__(self, message: str, best_snr_db: float):
-        super().__init__(message)
-        self.best_snr_db = best_snr_db
+    pass
 
 
 @dataclass
@@ -191,8 +189,7 @@ def _tune_delta(model: _ErrorModel, target: float):
     snr_hi = measure(hi)
     if snr_lo < target - SNR_MATCH_TOL_DB:
         raise TargetUnreachableError(
-            f"quantization floor {snr_lo:.2f} dB below target {target:.2f} dB",
-            best_snr_db=snr_lo,
+            f"quantization floor {snr_lo:.2f} dB below target {target:.2f} dB"
         )
     # rounding noise jitters the curve by well under a milli-dB; only a
     # violation at a meaningful scale abandons bisection
@@ -233,8 +230,7 @@ def _tune_delta(model: _ErrorModel, target: float):
         if pick is not None and abs(pick[1] - target) <= SNR_MATCH_TOL_DB:
             return pick
     raise TargetUnreachableError(
-        f"delta search stalled at {best_any[1]:.3f} dB for target {target:.2f} dB",
-        best_snr_db=best_any[1],
+        f"delta search stalled at {best_any[1]:.3f} dB for target {target:.2f} dB"
     )
 
 
@@ -256,9 +252,7 @@ def cmd_encode(cfg: EncodeConfig, out=sys.stdout) -> metrics.QualityReport:
 
     if cfg.target_snr_db is not None:
         if not signal.samples.any():
-            raise TargetUnreachableError(
-                "silent input has no SNR target to match", best_snr_db=float("-inf")
-            )
+            raise TargetUnreachableError("silent input has no SNR target to match")
         result = pursuit_to_snr(
             parted.blocks,
             dico,
@@ -269,8 +263,7 @@ def cmd_encode(cfg: EncodeConfig, out=sys.stdout) -> metrics.QualityReport:
         if result.saturated and result.snr_db < cfg.target_snr_db:
             raise TargetUnreachableError(
                 f"pursuit saturated at {result.snr_db:.2f} dB, "
-                f"target {cfg.target_snr_db:.2f} dB",
-                best_snr_db=result.snr_db,
+                f"target {cfg.target_snr_db:.2f} dB"
             )
         model = _ErrorModel(dico, result, parted)
         delta, achieved = _tune_delta(model, cfg.target_snr_db)

@@ -113,10 +113,6 @@ class MultichannelSignal:
     def channel_count(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.sample_count / self.sample_rate
-
 
 @dataclass
 class PartitionedSignal:

@@ -51,6 +51,7 @@ class TrigDictionary:
         self.half_size = half_size
         self.w_cos = self._cos_norms(block_size, half_size)
         self.w_sin = self._sin_norms(block_size, half_size)
+        self._neg_w_sin = -self.w_sin
         # Phase rotation that turns FFT bins into half-sample trig sums.
         k = np.arange(half_size + 1)
         self._rot = np.exp(-1j * np.pi * k / (2 * half_size))
@@ -87,33 +88,19 @@ class TrigDictionary:
         return 2 * self.half_size / self.block_size
 
     def atoms_matrix(self, indices) -> np.ndarray:
-        """Materialize atoms as rows of a ``(k, block_size)`` matrix.
+        """Materialize atoms as rows of a ``(k, block_size)`` matrix: ``atom(n)`` stacked.
 
         Intended for synthesis and testing; the pursuit hot path never
         builds atom matrices.
         """
         idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        m = self.half_size
-        if idx.size and (idx.min() < 1 or idx.max() > 2 * m):
-            raise ValueError(f"atom index out of range 1..{2 * m}")
         out = np.empty((idx.size, self.block_size))
-        is_cos = idx <= m
-        nc = idx[is_cos]
-        ns = idx[~is_cos] - m
-        if nc.size:
-            ang = np.pi * np.outer(nc - 1, self._odd) / (2 * m)
-            out[is_cos] = np.cos(ang) / self.w_cos[nc - 1][:, None]
-        if ns.size:
-            ang = np.pi * np.outer(ns, self._odd) / (2 * m)
-            out[~is_cos] = np.sin(ang) / self.w_sin[ns - 1][:, None]
+        for row, n in zip(out, idx.tolist()):
+            row[:] = self.atom(n)
         return out
 
     def atom(self, n: int) -> np.ndarray:
-        """Return atom ``n`` (1-based) as a unit-norm vector.
-
-        Same arithmetic as one row of :meth:`atoms_matrix`, so the two
-        agree bit for bit.
-        """
+        """Return atom ``n`` (1-based) as a unit-norm vector."""
         n = int(n)
         m = self.half_size
         if not 1 <= n <= 2 * m:
@@ -140,8 +127,9 @@ class TrigDictionary:
         z *= self._rot
         out = np.empty(y.shape[:-1] + (2 * m,))
         np.divide(z.real[..., :m], self.w_cos, out=out[..., :m])
-        np.divide(z.imag[..., 1:], self.w_sin, out=out[..., m:])
-        np.negative(out[..., m:], out=out[..., m:])
+        # the sine products are -Im z: dividing by -|d_n| gives the bits
+        # of negating the quotient, as IEEE division is sign-symmetric
+        np.divide(z.imag[..., 1:], self._neg_w_sin, out=out[..., m:])
         return out
 
     def synthesize(self, indices, coefficients) -> np.ndarray:

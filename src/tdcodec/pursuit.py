@@ -3,13 +3,11 @@
 All channels of a block share one set of selected atoms with per-channel
 coefficients.  Within a block, candidate atoms are picked by one of three
 selection criteria; across blocks, each step upgrades the single block
-whose candidate yields the largest drop of the total residual energy
-(the hierarchized block-wise strategy).  Every block keeps its
-candidate's gain, and the loop keeps those gains in one vector, so
-ranking is one ``argmax`` and a step rewrites a single entry.  A step
-is one ``accept_candidate``, which ends by selecting the block's next
-candidate, as ``init_block_state`` selects its first: through
-``select_candidate``, the one place that picks.
+whose candidate yields the largest drop of the total residual energy,
+the lower block index on a tie (the hierarchized block-wise strategy).
+A step is one ``accept_candidate``, which ends by selecting the block's
+next candidate, as ``init_block_state`` selects its first: through
+``select_candidate``, the one place that picks an atom.
 
 The selected subspace of a block is tracked by Gram-Schmidt with
 conditional re-orthogonalization: a new atom gets a second pass only when
@@ -32,33 +30,36 @@ of blocks, bit-identical to one block's own.  Residual and panel are both
 channel-major, so each acceptance updates every channel as one
 contiguous row.
 
-A block's pursuit never reads another block, so its picks form a gain
-sequence of its own, and the serial order is the merge of those
-sequences by gain, then block index.  Two uses rest on that:
+A block's pursuit never reads another block, so its picks form a log of
+gains of its own, and the serial order is the merge of those logs by
+gain, then block index.  One resumable heap merge, ``_Merge`` (Knuth's
+k-way merge, TAOCP vol. 3, 5.4.1), is the only code that picks the next
+block.  When it needs a pick past a block's log it asks for more, and
+where that comes from is all that differs between its uses:
 
+* In process, every block is live and takes its next step.
 * Memory.  At most ``LIVE_BLOCKS`` blocks hold panels at once.  With more
-  blocks, a pilot of every ``s``-th block runs first under the stop scaled
-  to it; half the gain of its last pick is a threshold ``tau``.  Every
-  block then runs alone while its head gain is at least ``tau``, one
-  chunk at a time, and keeps only a compact record: its atoms, factor,
-  ``wf`` rows, pick log and next head gain.  A heap merge of the records
-  replays the serial order under the real stop; when it needs a pick past
-  a block's log, it lowers ``tau`` and runs those blocks again from the
+  blocks, a pilot of every ``s``-th block is merged first under the stop
+  scaled to it; half the gain of its last pick is a threshold ``tau``.
+  Every block then runs alone while its head gain is at least ``tau``,
+  one chunk at a time, and keeps only a compact record: its atoms,
+  factor, ``wf`` rows, pick log and next head gain.  A merge of the
+  records replays the serial order under the real stop; past a closed
+  block's log, it lowers ``tau`` and runs those blocks again from the
   start, which repeats their logs exactly.  Picks made past the stop are
   the price: about 1% on sparse input, about a third on dense.
 * Processes.  With ``threads > 1`` the pilot's blocks are dealt
   round-robin to forked worker processes (block ``q`` to worker
   ``q mod P``, ``P`` from ``worker_count``), and so are the others' runs
-  to ``tau``.  Each worker runs the same loop on its own blocks,
-  ``ROUND`` picks at a time, and after each round sends the new log
-  entries and head gains of the blocks it picked.  The parent appends
-  them to its copies of the blocks' logs and merges those with
-  the same heap as the records; when it needs a pick past a block's log,
-  it asks that block's worker for one more round and takes the next one
-  the worker made.  A worker makes two rounds unasked, so it computes
-  while the parent merges, at most three rounds ahead of it.  With
-  ``threads == 1`` the loop runs in process: one forked worker adds its
-  messages and a cold process to the same work.
+  to ``tau``.  Each worker merges its own live blocks, ``ROUND`` accepted
+  atoms at a time, and after each round sends the new log entries and
+  head gains of the blocks it stepped.  The parent appends them to its
+  copies of the blocks' logs and merges those; when it needs a pick past
+  a block's log, it asks that block's worker for its next round.  A
+  worker makes two rounds unasked, so it computes while the parent
+  merges, at most three rounds ahead of it.  With ``threads == 1`` the
+  merge runs in process: one forked worker adds its messages and a cold
+  process to the same work.
 
 The output depends neither on ``threads`` nor on ``LIVE_BLOCKS``.
 """
@@ -100,7 +101,7 @@ REORTHO_NORM = 1 / math.sqrt(2)   # a first pass leaving |w| at or below this ta
 REFRESH_INTERVAL = 32
 INITIAL_CAPACITY = 8       # rows of ``w`` before the first doubling
 LIVE_BLOCKS = 256          # blocks whose pursuit state may be alive at once
-ROUND = 32                 # picks a worker makes per request of the merge
+ROUND = 32                 # atoms a worker accepts per request of the merge
 
 
 class SelectionCriterion(Enum):
@@ -297,11 +298,12 @@ def select_candidate(state: BlockState, dico: TrigDictionary) -> None:
 
 
 def rank_blocks(gains) -> int | None:
-    """Index of the block with the largest candidate gain.
+    """Index of the block with the largest candidate gain: the ranking rule.
 
     ``gains`` holds one entry per block, ``-inf`` for a block without a
     candidate.  Returns ``None`` when every entry is ``-inf`` (global
-    saturation).  Ties go to the smallest block index.
+    saturation).  Ties go to the smallest block index.  The pursuit
+    applies this rule through ``_Merge``'s heap; tests check one by the other.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.size == 0:
@@ -443,12 +445,12 @@ def _energy(state: BlockState) -> float:
 class _Record:
     """One block's pursuit, as the merge needs it.
 
-    While the block is pursued, ``state`` is its live state and ``note``
-    logs each pick.  ``close`` keeps what truncation needs (the atoms,
-    ``r[:k, :k]``, the ``wf`` rows and the pick log) with the gain of the
-    block's next pick, ``head`` (``-inf`` once it is saturated), and drops
-    the state and its panels.  A record made without a state is the
-    merge's copy of a worker's log, which ``add`` extends.
+    While the block is pursued, ``state`` is its live state and ``step``
+    makes and logs its next pick.  ``close`` keeps what truncation needs
+    (the atoms, ``r[:k, :k]``, the ``wf`` rows and the pick log) with the
+    gain of the block's next pick, ``head``, and drops the state and its
+    panels.  A record made without a state is the merge's copy of a
+    worker's log, which ``add`` extends.
     """
 
     def __init__(self, state: BlockState | None = None):
@@ -457,20 +459,29 @@ class _Record:
         self.accepted: list[bool] = []     # whether that pick's atom was kept
         # residual energy after 0, 1, ... atoms
         self.energies = [] if state is None else [_energy(state)]
+        self._head = -np.inf               # a closed or copied log's head
         self._sent = (0, 0)                # picks and energies ``news`` has sent
 
-    def note(self, gain: float, accepted: bool) -> None:
-        self.gains.append(gain)
+    @property
+    def head(self) -> float:
+        """The gain of the block's next pick, ``-inf`` once it is saturated."""
+        return self._head if self.state is None else self.state.gain
+
+    def step(self, dico: TrigDictionary) -> None:
+        """Pick the live block's candidate and log the pick."""
+        state = self.state
+        self.gains.append(state.gain)
+        accepted = accept_candidate(state, dico)
         self.accepted.append(accepted)
         if accepted:
-            self.energies.append(_energy(self.state))
+            self.energies.append(_energy(state))
 
     def close(self) -> _Record:
         state, k = self.state, self.state.atom_count
         self.selected = state.selected
         self.r = state.r[:k, :k].copy()
         self.wf = state.wf[:k].copy()
-        self.head = state.gain
+        self._head = state.gain
         self.state = None
         return self
 
@@ -479,18 +490,69 @@ class _Record:
         picks, energies = self._sent
         self._sent = len(self.gains), len(self.energies)
         return (self.gains[picks:], self.accepted[picks:], self.energies[energies:],
-                self.state.gain)
+                self.head)
 
     def add(self, gains, accepted, energies, head) -> None:
         """Append another record's ``news`` to this log."""
         self.gains += gains
         self.accepted += accepted
         self.energies += energies
-        self.head = head
+        self._head = head
 
     def gain_at(self, i: int) -> float:
         """The gain of the block's pick ``i``; past the log, its head."""
         return self.gains[i] if i < len(self.gains) else self.head
+
+
+class _Merge:
+    """The serial pick order, replayed from the blocks' logs by a heap.
+
+    The serial pursuit always picks the block with the largest head gain,
+    the lower block index on a tie, and a pick changes only its own block;
+    so a heap over the blocks' heads replays it exactly, rejected picks and
+    ties included.  When the best head, block ``q``'s, lies past its log,
+    ``extend(q)`` must put a longer one in ``records[q]``.  ``taken``
+    counts the picks merged per block, ``counts`` the atoms accepted, and
+    ``last_gain`` is the gain of the last pick merged.
+    """
+
+    def __init__(self, records: list[_Record], extend):
+        self.records = records
+        self.extend = extend
+        self.taken = [0] * len(records)
+        self.counts = [0] * len(records)
+        self.last_gain = np.inf   # a merge that never picks sets no threshold
+        heap = [(-rec.gain_at(0), q) for q, rec in enumerate(records)]
+        self.heap = [entry for entry in heap if entry[0] != np.inf]
+        heapq.heapify(self.heap)
+
+    def run(self, stop) -> bool:
+        """Merge picks until ``stop(q, energy)`` is true; True if the blocks saturated first.
+
+        ``stop`` is asked after each accepted atom, with block ``q``'s
+        residual energy after it.  The heap is up to date by then, so the
+        next ``run`` goes on from the next pick.
+        """
+        records, taken, counts, heap = self.records, self.taken, self.counts, self.heap
+        while heap:
+            gain, q = heap[0]
+            rec = records[q]
+            i = taken[q]
+            if i == len(rec.gains):
+                self.extend(q)
+                continue
+            self.last_gain = -gain
+            taken[q] = i + 1
+            head = rec.gain_at(i + 1)
+            if head == -np.inf:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (-head, q))
+            if rec.accepted[i]:
+                counts[q] += 1
+                if stop(q, rec.energies[counts[q]]):
+                    return False
+        return True
 
 
 def _finish(state, k: int, energy: float):
@@ -564,38 +626,10 @@ class _SnrTarget:
         return _SnrTarget(self.residual[::stride], self.target)
 
 
-def _pursue(states, dico, pick) -> bool:
-    """Upgrade the best-ranked block, one atom at a time, until ``pick`` ends it.
-
-    Each pick is one ``accept_candidate``, which leaves the block holding
-    its next candidate.  ``pick(q, gain, accepted)`` is called after every
-    pick of block ``q``, with the gain it was ranked by and whether or not
-    its atom was accepted; it returns True to end the pursuit.  Returns
-    True when the states saturated before ``pick`` ended it.
-    """
-    gains = np.array([st.gain for st in states])
-    while True:
-        q = rank_blocks(gains)
-        if q is None:
-            return True
-        state = states[q]
-        gain = float(gains[q])
-        accepted = accept_candidate(state, dico)
-        gains[q] = state.gain
-        if pick(q, gain, accepted):
-            return False
-
-
 def _advance(record: _Record, dico, tau: float) -> _Record:
     """Pursue the record's block alone while its head gain is at least ``tau``; close it."""
-    state = record.state
-    if state.gain >= tau:
-
-        def pick(_q, gain, accepted):
-            record.note(gain, accepted)
-            return state.gain < tau
-
-        _pursue([state], dico, pick)
+    while record.head >= tau:
+        record.step(dico)
     return record.close()
 
 
@@ -617,30 +651,23 @@ def _threshold(last_gain: float, rest) -> float:
 
 def _pursue_in_process(pilot, rest, dico, criterion, stop):
     records = [_Record(st) for st in _init_states(pilot, dico, criterion)]
-    last_gain = np.inf   # a pilot that never picks sets no threshold
-
-    def pick(q, gain, accepted):
-        nonlocal last_gain
-        last_gain = gain
-        records[q].note(gain, accepted)
-        return accepted and stop(q, records[q].energies[-1])
-
-    saturated = _pursue([rec.state for rec in records], dico, pick)
-    counts = [rec.state.atom_count for rec in records]
-    tau = _threshold(last_gain, rest)
-    return saturated, counts, tau, _run_ahead(records, rest, dico, criterion, tau)
+    merge = _Merge(records, lambda q: records[q].step(dico))
+    saturated = merge.run(stop)
+    tau = _threshold(merge.last_gain, rest)
+    return saturated, merge.counts, tau, _run_ahead(records, rest, dico, criterion, tau)
 
 
 def _shard_worker(index, pipes, shard, rest, dico, criterion):
     """Worker process: pursue ``shard`` in rounds of picks for the merge.
 
-    A round is ``ROUND`` more picks of the shard's own serial loop; the
-    worker makes two unasked and one more for each ``True`` from the merge,
-    and after each round sends the ``news`` of the blocks picked, by their
-    index in the shard (every block's, the first time).  When the merge
-    stops, it sends the threshold ``tau``, which the worker reads before its
-    next round; it runs the shard's blocks, then ``rest``'s, ahead to it and
-    sends their records.  A failure sends its traceback in their place.
+    A round is a run of the shard's own merge to ``ROUND`` more accepted
+    atoms; the worker makes two unasked and one more for each ``True``
+    from the merge, and after each round sends the ``news`` of the blocks
+    stepped, by their index in the shard (every block's, the first time).
+    When the merge stops, it sends the threshold ``tau``, which the worker
+    reads before its next round; it runs the shard's blocks, then
+    ``rest``'s, ahead to it and sends their records.  A failure sends its
+    traceback in their place.
     """
     conn = pipes[index][1]
     for pair in pipes:
@@ -650,17 +677,17 @@ def _shard_worker(index, pipes, shard, rest, dico, criterion):
     try:
         records = [_Record(st) for st in _init_states(shard, dico, criterion)]
         picked = set(range(len(records)))   # blocks whose log the merge lacks
-        made = itertools.count(1)
 
-        def pick(q, gain, accepted):
-            records[q].note(gain, accepted)
+        def step(q):
+            records[q].step(dico)
             picked.add(q)
-            return next(made) % ROUND == 0
 
+        merge = _Merge(records, step)
+        accepted = itertools.count(1)
         credit, message = 2, True   # rounds to make before the merge asks again
         while message is True:
             if credit and not conn.poll():
-                _pursue([rec.state for rec in records], dico, pick)
+                merge.run(lambda q, energy: next(accepted) % ROUND == 0)
                 conn.send(("logs", [(i, records[i].news()) for i in picked]))
                 picked.clear()
                 credit -= 1
@@ -727,8 +754,9 @@ def _pursue_in_workers(pilot, rest, dico, criterion, stop, workers):
 
         for w in range(workers):
             extend(w)
-        saturated, counts, last_gain = _merge_records(logs, stop, extend)
-        tau = _threshold(last_gain, rest)
+        merge = _Merge(logs, extend)
+        saturated = merge.run(stop)
+        tau = _threshold(merge.last_gain, rest)
         for conn in conns:
             _send(conn, tau)
         records = [None] * (len(pilot) + len(rest))
@@ -738,7 +766,7 @@ def _pursue_in_workers(pilot, rest, dico, criterion, stop, workers):
             shard = len(range(w, len(pilot), workers))
             records[w : len(pilot) : workers] = message[1][:shard]
             records[len(pilot) + w :: workers] = message[1][shard:]
-        return saturated, counts, tau, records
+        return saturated, merge.counts, tau, records
     finally:
         for proc in procs:
             proc.terminate()   # once it has sent its records, or failed, a worker is done
@@ -748,54 +776,16 @@ def _pursue_in_workers(pilot, rest, dico, criterion, stop, workers):
                 end.close()
 
 
-def _merge_records(records: list[_Record], stop, extend):
-    """Replay the serial pick order from the blocks' records until ``stop``.
-
-    The serial loop always picks the block with the largest head gain, the
-    lower block index on a tie, and a pick changes only its own block; so
-    a heap over the blocks' heads replays it exactly, rejected picks and
-    ties included.  When the best head, block ``q``'s, lies past its log,
-    ``extend(q)`` must put a longer one in ``records[q]``.  Returns whether
-    the blocks saturated before ``stop`` ended the merge, the atom count of
-    every block and the gain of the last pick merged.
-    """
-    taken = [0] * len(records)    # picks merged, per block
-    counts = [0] * len(records)   # atoms accepted, per block
-    last_gain = np.inf
-    heap = [(-rec.gain_at(0), q) for q, rec in enumerate(records)]
-    heap = [entry for entry in heap if entry[0] != np.inf]
-    heapq.heapify(heap)
-    while heap:
-        gain, q = heap[0]
-        rec = records[q]
-        if taken[q] == len(rec.gains):
-            extend(q)
-            continue
-        last_gain = -gain
-        accepted = rec.accepted[taken[q]]
-        taken[q] += 1
-        if accepted:
-            counts[q] += 1
-            if stop(q, rec.energies[counts[q]]):
-                return False, counts, last_gain
-        head = rec.gain_at(taken[q])
-        if head == -np.inf:
-            heapq.heappop(heap)
-        else:
-            heapq.heapreplace(heap, (-head, q))
-    return True, counts, last_gain
-
-
 def _pursue_blocks(blocks, dico, criterion, stop, threads):
     """``(saturated, per-block _finish triples)`` of the pursuit under ``stop``.
 
     At most ``LIVE_BLOCKS`` blocks keep their panels alive at once.  The
     pilot, blocks ``0, s, 2s, ...`` with ``s = ceil(Q / LIVE_BLOCKS)``,
-    runs the ordinary loop under the stop scaled to it; at ``s = 1`` that
-    is the whole pursuit.  Otherwise the gain of the pilot's last pick
+    is merged live under the stop scaled to it; at ``s = 1`` that is the
+    whole pursuit.  Otherwise the gain of the pilot's last pick
     sets ``tau`` at half of it; every block is pursued alone while its head
     gain is at least ``tau`` (the pilot's from where they stand, the others
-    a chunk at a time), and keeps only a ``_Record``.  A heap merge of the
+    a chunk at a time), and keeps only a ``_Record``.  A ``_Merge`` of the
     records then replays the serial order under the real stop.  If it
     needs a pick past a block's log, ``tau`` drops to at most half and to
     that gain, and every unsaturated block whose head reaches the new
@@ -824,7 +814,8 @@ def _pursue_blocks(blocks, dico, criterion, stop, threads):
             for q, rec in zip(again, fresh):
                 records[q] = rec
 
-        saturated, counts, _ = _merge_records(records, stop, extend)
+        merge = _Merge(records, extend)
+        saturated, counts = merge.run(stop), merge.counts
     return saturated, [_finish(rec, k, rec.energies[k]) for rec, k in zip(records, counts)]
 
 
@@ -837,8 +828,7 @@ def hbw_pursuit(
 ) -> PursuitResult:
     """Distribute ``budget`` atoms over the partition, one upgrade at a time.
 
-    Every step ranks the per-block candidates and upgrades the winner
-    only; results are deterministic, and independent of ``threads`` (see
+    Every step upgrades the block whose candidate has the largest gain; results are deterministic, and independent of ``threads`` (see
     ``worker_count``), because ties break to the smallest atom and block
     indices.  A budget beyond what the partition can absorb returns at
     saturation with the ``saturated`` flag set rather than raising.

@@ -533,9 +533,7 @@ def test_worker_news_rebuild_the_whole_log_once(rng):
     state, log, sent = record.state, pursuit._Record(), 0
     for picks in (3, 0, 5, 1):
         for _ in range(picks):
-            gain = state.gain
-            accepted = accept_candidate(state, d)
-            record.note(gain, accepted)
+            record.step(d)
         news = record.news()
         sent += len(news[0])
         log.add(*news)
@@ -543,6 +541,40 @@ def test_worker_news_rebuild_the_whole_log_once(rng):
             record.gains, record.accepted, record.energies)
         assert log.head == state.gain
     assert sent == len(record.gains) == 9
+
+
+@pytest.mark.parametrize("criterion", list(SelectionCriterion))
+def test_a_merge_run_in_rounds_equals_one_uninterrupted_run(rng, criterion):
+    # the heap is up to date whenever the stop is asked, so a later run
+    # resumes exactly where the last one stopped
+    d = TrigDictionary(8, 16)
+    blocks = random_blocks(rng, 5, 8, 2) + [np.zeros((8, 2))]
+
+    def live_merge():
+        records = [pursuit._Record(init_block_state(b, d, criterion)) for b in blocks]
+        return records, pursuit._Merge(records, lambda q: records[q].step(d))
+
+    whole_records, whole = live_merge()
+    assert whole.run(lambda q, energy: False)
+    records, merge = live_merge()
+    accepted = []
+
+    def every_third(q, energy):
+        accepted.append(q)
+        return len(accepted) % 3 == 0
+
+    rounds = 1
+    while not merge.run(every_third):
+        rounds += 1
+    assert len(accepted) == sum(whole.counts)
+    assert rounds == len(accepted) // 3 + 1 > 3
+    for got, want in zip(records, whole_records):
+        assert (got.gains, got.accepted, got.energies) == (
+            want.gains, want.accepted, want.energies)
+        assert got.head == want.head == -np.inf
+    assert merge.counts == whole.counts
+    assert merge.taken == whole.taken
+    assert merge.last_gain == whole.last_gain
 
 
 @pytest.mark.parametrize("mode", ["budget", "snr"])
@@ -625,14 +657,21 @@ def test_saturation_before_target_is_flagged(monkeypatch, rng):
 
     d = TrigDictionary(8, 16)
     blocks = random_blocks(rng, 2, 8, 1)
-    real_rank = pu.rank_blocks
-    calls = {"n": 0}
+    real_accept = pu.accept_candidate
+    calls = {"accepted": 0}
 
-    def exhausted_after_three(states):
-        calls["n"] += 1
-        return None if calls["n"] > 3 else real_rank(states)
+    def exhausted_after_three(state, dico):
+        # after the third kept atom every atom is blocked, so each block
+        # saturates at its next pick
+        if calls["accepted"] >= 3:
+            state.blocked[:] = True
+            pu.select_candidate(state, dico)
+            return False
+        accepted = real_accept(state, dico)
+        calls["accepted"] += accepted
+        return accepted
 
-    monkeypatch.setattr(pu, "rank_blocks", exhausted_after_three)
+    monkeypatch.setattr(pu, "accept_candidate", exhausted_after_three)
     res = pu.pursuit_to_snr(blocks, d, 100.0)
     assert res.saturated
     assert res.atom_count == 3
@@ -895,16 +934,18 @@ def test_a_capped_pursuit_equals_the_all_live_one(rng, monkeypatch, case, mode):
 
     monkeypatch.setattr(pursuit, "_pursue_in_process", in_process)
     extensions = []
-    real_merge = pursuit._merge_records
+    real_merge = pursuit._Merge
 
-    def merge(records, stop, extend):
+    def merge(records, extend):
+        # a live block's next step is not an extension of a finished log
         def counted(q):
-            extensions.append(q)
+            if records[q].state is None:
+                extensions.append(q)
             extend(q)
 
-        return real_merge(records, stop, counted)
+        return real_merge(records, counted)
 
-    monkeypatch.setattr(pursuit, "_merge_records", merge)
+    monkeypatch.setattr(pursuit, "_Merge", merge)
 
     def run(threads):
         if mode == "budget":

@@ -330,9 +330,7 @@ def cmd_decode(input_path: str, output_path: str) -> None:
 def cmd_info(path: str, out=sys.stdout) -> container.TdcHeader:
     with open(path, "rb") as fh:
         data = fh.read()
-    header, qset = container.read_tdc(data)
-    parsed = quantize.parse_streams(qset)
-    atom_counts = [len(idx) for idx, _ in parsed]
+    header, _ = container.read_tdc(data)
     report = metrics.rate_report(
         len(data), header.sample_rate, header.original_length
     )
@@ -346,7 +344,7 @@ def cmd_info(path: str, out=sys.stdout) -> container.TdcHeader:
         f"half size:          {header.half_size}",
         f"blocks:             {header.block_count}",
         f"total atoms:        {header.total_atoms}",
-        f"mean atoms/block:   {np.mean(atom_counts):.2f}",
+        f"mean atoms/block:   {header.total_atoms / header.block_count:.2f}",
         f"delta:              {header.delta:.9g}",
         f"file size:          {len(data)} bytes ({report.kbps:.2f} kbps)",
     ]

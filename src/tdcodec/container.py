@@ -21,7 +21,11 @@ payload                   the streams' bytes, in record order
 ========================  =======================================
 
 Stream order is: index stream, the L coefficient streams, the L sign
-streams.  The payload of an index or coefficient stream is what
+streams.  This module is the only one that splits a
+:class:`~tdcodec.quantize.QuantizedBlockSet`'s ``(K, L)`` signed levels:
+column j's magnitudes are coefficient stream j and its signs (``1`` for a
+negative level) sign stream j, and a sign bit on a zero magnitude reads
+back as level 0.  The payload of an index or coefficient stream is what
 :func:`tdcodec.entropy.arith_encode` writes: a bit-packed static
 frequency table of bit-length bucket symbols, ``min(16, ceil(count /
 128))`` u32 rANS lane states, the u16 rANS words, then the values' bypass
@@ -340,13 +344,42 @@ def _bound(symbols) -> int:
     return int(arr.max()) + 1 if arr.size else 1
 
 
-def _check_output_size(q: int, block_size: int, channels: int) -> None:
-    """Decoders synthesize every block in full before the last one's padding
-    is dropped, so the padded length must fit one 16-bit WAV data chunk."""
+def _check_header(channels: int, sample_rate: int, length: int, block_size: int,
+                  half_size: int, q: int, k: int, delta: float,
+                  index_bound: int) -> None:
+    """Refuse fixed header fields, and an index alphabet bound, that no
+    decoder accepts; the writer and the reader share this one set."""
+    if channels < 1:
+        raise FormatError("channel count must be >= 1")
+    _check_rate(sample_rate)
+    if block_size < 2 or half_size < block_size:
+        raise FormatError(f"bad dictionary geometry {block_size}/{half_size}")
+    if block_size > MAX_BLOCK_SIZE or half_size > MAX_HALF_SIZE:
+        raise FormatError(
+            f"block size {block_size} or half size {half_size} above "
+            f"the limits {MAX_BLOCK_SIZE} and {MAX_HALF_SIZE}"
+        )
+    if not (q * block_size >= length > (q - 1) * block_size):
+        raise FormatError(
+            f"block geometry mismatch: Q={q}, block_size={block_size}, N={length}"
+        )
+    # Decoders synthesize every block in full before the last one's padding
+    # is dropped, so the padded length must fit one 16-bit WAV data chunk.
     if q * block_size * channels * 2 > WAV_MAX_DATA_BYTES:
         raise FormatError(
             f"{q} blocks of {block_size} samples x {channels} channels exceed "
             "what a 16-bit WAV can hold"
+        )
+    if not (delta > 0 and np.isfinite(delta)):
+        raise FormatError(f"delta {delta!r} is not a positive finite float")
+    # a block holds at most min(N_b, 2M) independent atoms
+    if k > q * min(block_size, 2 * half_size):
+        raise FormatError(f"total_atoms {k} exceeds what {q} blocks can hold")
+    # An index gap is at most 2M (the top atom after separator 0).
+    if index_bound > 2 * half_size + 1:
+        raise FormatError(
+            f"index stream alphabet bound {index_bound} above "
+            f"2 * half_size + 1 = {2 * half_size + 1}"
         )
 
 
@@ -358,35 +391,26 @@ def write_tdc(
     block_size: int,
     half_size: int,
 ) -> bytes:
-    q, length = qset.block_count, int(original_length)
-    if not (q * block_size >= length > (q - 1) * block_size):
+    levels = np.asarray(qset.levels)
+    if levels.ndim != 2 or levels.shape[1] < 1:
+        raise FormatError(f"levels of shape {levels.shape} are not (K, L) with L >= 1")
+    q, (k, channels), length = qset.block_count, levels.shape, int(original_length)
+    index_stream = np.asarray(qset.index_stream)
+    _check_header(channels, sample_rate, length, block_size, half_size, q, k,
+                  qset.delta, _bound(index_stream))
+    if len(index_stream) != k + q - 1:
         raise FormatError(
-            f"block geometry mismatch: Q={q}, block_size={block_size}, N={length}"
+            f"index stream holds {len(index_stream) - q + 1} atoms, levels {k} rows"
         )
-    _check_rate(sample_rate)
-    _check_output_size(q, block_size, qset.channel_count)
-    if not qset.delta > 0 or not np.isfinite(qset.delta):
-        raise FormatError("delta must be a positive finite float")
-    k = qset.total_atoms
-    for s in qset.coeff_streams + qset.sign_streams:
-        if len(s) != k:
-            raise FormatError("coefficient/sign stream lengths disagree")
-    n_sep = int(np.count_nonzero(np.asarray(qset.index_stream) == 0))
-    if n_sep != q - 1:
-        raise FormatError(f"index stream has {n_sep} separators, expected {q - 1}")
 
     payloads = []
     records = []
-    for symbols in [qset.index_stream, *qset.coeff_streams]:
+    for symbols in [index_stream, *np.abs(levels).T]:
         bound = _bound(symbols)
-        blob = entropy.arith_encode(entropy.SymbolStream(np.asarray(symbols), bound))
-        payloads.append(blob)
-        records.append(StreamRecord(bound, len(symbols), len(blob)))
-    for bits in qset.sign_streams:
-        bits = np.asarray(bits)
-        if bits.size and (bits.min() < 0 or bits.max() > 1):
-            raise FormatError("sign streams must hold only 0 and 1")
-        payloads.append(np.packbits(bits.astype(np.uint8)).tobytes())
+        payloads.append(entropy.arith_encode(entropy.SymbolStream(symbols, bound)))
+        records.append(StreamRecord(bound, len(symbols), len(payloads[-1])))
+    for bits in (levels < 0).T:
+        payloads.append(np.packbits(bits).tobytes())
         records.append(StreamRecord(2, k, len(payloads[-1])))
     payload = b"".join(payloads)
 
@@ -394,7 +418,7 @@ def write_tdc(
         MAGIC,
         VERSION,
         sample_rate,
-        qset.channel_count,
+        channels,
         length,
         block_size,
         half_size,
@@ -447,37 +471,15 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
         raise ChecksumError("header")
     pos += _CRC.size
 
-    if channels < 1:
-        raise FormatError("channel count must be >= 1")
-    _check_rate(sample_rate)
-    if block_size < 2 or half_size < block_size:
-        raise FormatError("bad dictionary geometry in header")
-    if block_size > MAX_BLOCK_SIZE or half_size > MAX_HALF_SIZE:
-        raise FormatError(
-            f"block size {block_size} or half size {half_size} in header above "
-            f"the limits {MAX_BLOCK_SIZE} and {MAX_HALF_SIZE}"
-        )
-    if not (q * block_size >= length > (q - 1) * block_size):
-        raise FormatError("block geometry mismatch in header")
-    _check_output_size(q, block_size, channels)
-    if not (delta > 0 and np.isfinite(delta)):
-        raise FormatError("bad delta in header")
+    _check_header(channels, sample_rate, length, block_size, half_size, q, k,
+                  delta, records[0].alphabet_bound)
     # Cross-check every symbol count before the decoder allocates for it:
-    # a block holds at most min(N_b, 2M) independent atoms, and the index
-    # stream is K atom symbols plus Q - 1 block separators.
-    if k > q * min(block_size, 2 * half_size):
-        raise FormatError(f"total_atoms {k} exceeds what {q} blocks can hold")
+    # the index stream is K atom symbols plus Q - 1 block separators.
     if records[0].symbol_count != k + q - 1:
         raise FormatError("index stream symbol count disagrees with total_atoms")
     for r in records[1 : 1 + 2 * channels]:
         if r.symbol_count != k:
             raise FormatError("stream symbol counts disagree with total_atoms")
-    # An index gap is at most 2M (the top atom after separator 0).
-    if records[0].alphabet_bound > 2 * half_size + 1:
-        raise FormatError(
-            f"index stream alphabet bound {records[0].alphabet_bound} above "
-            f"2 * half_size + 1 = {2 * half_size + 1}"
-        )
     # A sign stream is K packed bits, which ties K to the payload size.
     for r in records[1 + channels :]:
         if r.alphabet_bound != 2 or r.byte_length != -(-k // 8):
@@ -507,8 +509,8 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
         entropy.arith_decode(b, r.symbol_count, r.alphabet_bound).symbols
         for b, r in zip(blobs[: 1 + channels], records)
     ]
-    index_stream = streams[0]
-    top = max((int(c.max()) for c in streams[1:] if c.size), default=0)
+    index_stream, mags = streams[0], np.stack(streams[1:], axis=1)
+    top = int(mags.max()) if mags.size else 0
     if not math.isfinite(delta * top):
         raise FormatError(f"delta {delta!r} times level {top} is not finite")
     n_sep = int(np.count_nonzero(index_stream == 0))
@@ -527,12 +529,8 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
         delta=delta,
         stream_records=records,
     )
+    sign = np.stack([np.unpackbits(s, count=k) for s in signs], axis=1)
     qset = QuantizedBlockSet(
-        delta=delta,
-        index_stream=index_stream,
-        coeff_streams=streams[1:],
-        sign_streams=[np.unpackbits(s, count=k) for s in signs],
-        block_count=q,
-        channel_count=channels,
+        delta=delta, index_stream=index_stream, levels=np.where(sign, -mags, mags)
     )
     return header, qset

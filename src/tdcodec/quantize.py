@@ -1,10 +1,10 @@
 """Uniform quantization and symbol-stream layout for atomic decompositions.
 
-A decomposed signal is carried by three stream families: one shared index
-stream (per-block ascending atom indices stored as a leading value plus
-consecutive differences, blocks separated by ``0``), ``L`` streams of
-quantized coefficient magnitudes, and ``L`` streams of sign bits
-(``0`` for ``+``, ``1`` for ``-``).
+A decomposed signal is carried by one shared index stream (per-block
+ascending atom indices stored as a leading value plus consecutive
+differences, blocks separated by ``0``) and a ``(K, L)`` array of signed
+quantization levels, one row per atom in index-stream order.  The
+container splits the levels into magnitude and sign streams.
 """
 
 from __future__ import annotations
@@ -37,15 +37,20 @@ class QuantizedBlockSet:
     """Quantized, stream-serialized form of a partitioned decomposition."""
 
     delta: float
-    index_stream: np.ndarray          # shared across channels
-    coeff_streams: list[np.ndarray]   # one per channel, magnitudes
-    sign_streams: list[np.ndarray]    # one per channel, bits
-    block_count: int
-    channel_count: int
+    index_stream: np.ndarray   # shared across channels
+    levels: np.ndarray         # (K, L) signed levels, in index-stream order
+
+    @property
+    def channel_count(self) -> int:
+        return self.levels.shape[1]
 
     @property
     def total_atoms(self) -> int:
-        return int(len(self.coeff_streams[0])) if self.coeff_streams else 0
+        return len(self.levels)
+
+    @property
+    def block_count(self) -> int:
+        return int(np.count_nonzero(np.asarray(self.index_stream) == 0)) + 1
 
 
 def quantize_levels(coef, delta: float) -> np.ndarray:
@@ -66,9 +71,9 @@ def serialize_decompositions(decompositions, delta: float) -> QuantizedBlockSet:
     """Sort, delta-code and quantize per-block decompositions.
 
     Indices are sorted ascending per block; the same permutation is applied
-    to every channel's coefficients and signs.  A coefficient that
-    quantizes to zero keeps its slot with sign bit 0, so the shared index
-    layout survives per-channel small values.
+    to every channel's coefficients.  A coefficient that quantizes to zero
+    keeps its slot with level 0, so the shared index layout survives
+    per-channel small values.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -96,17 +101,11 @@ def serialize_decompositions(decompositions, delta: float) -> QuantizedBlockSet:
     bad = gaps == 0
     if bad.any():
         raise ValueError(f"block {block[bad.argmax()]}: duplicate atom index")
-    levels = quantize_levels(coef, delta)
-    mags = np.abs(levels)
-    signs = (levels < 0).astype(np.uint8)
     return QuantizedBlockSet(
         delta=float(delta),
         # a 0 separates each block from the one before it
         index_stream=np.insert(gaps, np.cumsum(counts)[:-1], 0),
-        coeff_streams=[mags[:, j].copy() for j in range(channels)],
-        sign_streams=[signs[:, j].copy() for j in range(channels)],
-        block_count=len(decompositions),
-        channel_count=channels,
+        levels=quantize_levels(coef, delta),
     )
 
 
@@ -115,55 +114,24 @@ def parse_streams(qset: QuantizedBlockSet) -> list[tuple[np.ndarray, np.ndarray]
 
     The returned coefficients are signed integers; multiplying by
     ``qset.delta`` recovers the reconstruction values.  Raises
-    :class:`StreamError` with a position for any malformed stream.
+    :class:`StreamError` for any malformed stream.
     """
     if not qset.delta > 0:
         raise StreamError("nonpositive delta")
-    if len(qset.coeff_streams) != qset.channel_count or len(
-        qset.sign_streams
-    ) != qset.channel_count:
-        raise StreamError("channel count does not match stream count")
-
     stream = np.asarray(qset.index_stream, dtype=np.int64)
     if stream.size and stream.min() < 0:
         raise StreamError(
             "negative index symbol", position=int(np.argmin(stream >= 0))
         )
     seps = np.flatnonzero(stream == 0)
-    if seps.size + 1 != qset.block_count:
+    levels = np.asarray(qset.levels, dtype=np.int64)
+    if levels.ndim != 2 or len(levels) != stream.size - seps.size:
         raise StreamError(
-            f"found {seps.size + 1} block segments, expected {qset.block_count}",
-            position=int(stream.size),
+            f"levels of shape {levels.shape} do not give one row to each of "
+            f"the {stream.size - seps.size} atoms"
         )
 
     counts = np.diff(seps, prepend=-1, append=stream.size) - 1
-    total = int(counts.sum())
-    values = np.empty((total, qset.channel_count), dtype=np.int64)
-    for j in range(qset.channel_count):
-        if len(qset.coeff_streams[j]) != total:
-            raise StreamError(
-                f"coefficient stream {j} has {len(qset.coeff_streams[j])} symbols, "
-                f"expected {total}"
-            )
-        if len(qset.sign_streams[j]) != total:
-            raise StreamError(
-                f"sign stream {j} has {len(qset.sign_streams[j])} symbols, "
-                f"expected {total}"
-            )
-        mags = np.asarray(qset.coeff_streams[j], dtype=np.int64)
-        if mags.size and mags.min() < 0:
-            raise StreamError(
-                f"negative magnitude in coefficient stream {j}",
-                position=int(np.argmax(mags < 0)),
-            )
-        signs = np.asarray(qset.sign_streams[j], dtype=np.int64)
-        if signs.size and (signs.min() < 0 or signs.max() > 1):
-            raise StreamError(
-                f"sign stream {j} contains a non-bit symbol",
-                position=int(np.argmax((signs < 0) | (signs > 1))),
-            )
-        values[:, j] = np.where(signs == 1, -mags, mags)
-
     # Per-block running sums of the gaps: one cumulative sum over all of
     # them, less its value where each block starts (int64 wraps the same
     # way either way).
@@ -172,4 +140,4 @@ def parse_streams(qset: QuantizedBlockSet) -> list[tuple[np.ndarray, np.ndarray]
     running = np.cumsum(gaps)
     before = np.concatenate([[0], running])[ends - counts]
     indices = running - np.repeat(before, counts)
-    return list(zip(np.split(indices, ends[:-1]), np.split(values, ends[:-1])))
+    return list(zip(np.split(indices, ends[:-1]), np.split(levels, ends[:-1])))

@@ -141,10 +141,9 @@ def parse_streams_loop(qset):
     for seg in segments:
         k = len(seg)
         values = np.empty((k, qset.channel_count), dtype=np.int64)
-        for j in range(qset.channel_count):
-            mags = np.asarray(qset.coeff_streams[j][offset : offset + k], np.int64)
-            signs = np.asarray(qset.sign_streams[j][offset : offset + k], np.int64)
-            values[:, j] = np.where(signs == 1, -mags, mags)
+        for i in range(k):
+            for j in range(qset.channel_count):
+                values[i, j] = qset.levels[offset + i][j]
         out.append((np.cumsum(np.asarray(seg, dtype=np.int64)), values))
         offset += k
     return out

@@ -264,10 +264,8 @@ def test_tdc_roundtrip_recovers_everything(rng):
     assert header.total_atoms == qset.total_atoms
     assert header.delta == qset.delta
     assert np.array_equal(back.index_stream, qset.index_stream)
-    for a, b in zip(back.coeff_streams, qset.coeff_streams):
-        assert np.array_equal(a, b)
-    for a, b in zip(back.sign_streams, qset.sign_streams):
-        assert np.array_equal(a, b)
+    assert back.levels.dtype == np.int64
+    assert np.array_equal(back.levels, qset.levels)
 
 
 def test_tdc_bytes_are_deterministic(rng):
@@ -506,30 +504,26 @@ def test_index_gap_beyond_the_dictionary_is_rejected(tmp_path, rng):
     # the last gap is 2M + 1 = 65, which no atom index can produce
     good = make_qset(rng, blocks=2, channels=1, atoms_per_block=2)
     crafted = QuantizedBlockSet(
-        delta=good.delta,
-        index_stream=np.array([3, 5, 0, 4, 65]),
-        coeff_streams=good.coeff_streams,
-        sign_streams=good.sign_streams,
-        block_count=2,
-        channel_count=1,
+        delta=good.delta, index_stream=np.array([3, 5, 0, 4, 65]), levels=good.levels
     )
-    blob = write_tdc(crafted, sample_rate=8000, original_length=20,
-                     block_size=16, half_size=32)
     with pytest.raises(FormatError, match="alphabet bound"):
-        read_tdc(blob)
-    assert _decode_exit_code(tmp_path, blob) == 3
+        write_tdc(crafted, sample_rate=8000, original_length=20,
+                  block_size=16, half_size=32)
+    # written for M = 64, then the header says M = 32
+    blob = bytearray(write_tdc(crafted, sample_rate=8000, original_length=20,
+                               block_size=16, half_size=64))
+    struct.pack_into("<I", blob, 24, 32)              # half_size
+    bad = _reseal(blob)
+    with pytest.raises(FormatError, match="alphabet bound"):
+        read_tdc(bad)
+    assert _decode_exit_code(tmp_path, bad) == 3
 
 
 def test_index_summing_past_the_dictionary_exits_3(tmp_path, rng, capsys):
     # gaps within the alphabet bound that add up to atom 2M + 1 = 65
     good = make_qset(rng, blocks=2, channels=1, atoms_per_block=2)
     crafted = QuantizedBlockSet(
-        delta=good.delta,
-        index_stream=np.array([3, 5, 0, 64, 1]),
-        coeff_streams=good.coeff_streams,
-        sign_streams=good.sign_streams,
-        block_count=2,
-        channel_count=1,
+        delta=good.delta, index_stream=np.array([3, 5, 0, 64, 1]), levels=good.levels
     )
     blob = write_tdc(crafted, sample_rate=8000, original_length=20,
                      block_size=16, half_size=32)
@@ -611,19 +605,81 @@ def test_sign_payloads_are_the_packed_bits(rng):
                      block_size=16, half_size=32)
     header, back = read_tdc(blob)
     tail = blob[len(blob) - 4:]
-    assert tail == b"".join(np.packbits(s).tobytes() for s in qset.sign_streams)
+    negative = (qset.levels < 0).astype(np.uint8)
+    assert tail == b"".join(np.packbits(negative[:, j]).tobytes() for j in range(2))
     for rec in header.stream_records[3:]:
         assert (rec.alphabet_bound, rec.symbol_count, rec.byte_length) == (2, 12, 2)
-    for a, b in zip(back.sign_streams, qset.sign_streams):
-        assert a.dtype == np.uint8 and np.array_equal(a, b)
+    assert np.array_equal(back.levels, qset.levels)
 
 
-def test_write_tdc_rejects_sign_values_other_than_bits(rng):
-    qset = make_qset(rng, channels=1)
-    qset.sign_streams[0] = qset.sign_streams[0].astype(np.int64) * 2
-    with pytest.raises(FormatError, match="0 and 1"):
-        write_tdc(qset, sample_rate=8000, original_length=33,
+def test_a_sign_bit_on_a_zero_magnitude_reads_as_level_zero(tmp_path):
+    qset = QuantizedBlockSet(delta=1.0, index_stream=np.array([3, 2]),
+                             levels=np.array([[0], [-2]]))
+    blob = bytearray(write_tdc(qset, sample_rate=8000, original_length=16,
+                               block_size=16, half_size=32))
+    assert blob[-1] == 0b0100_0000                    # the one sign stream
+    blob[-1] |= 0b1000_0000                           # "-" on the zero level
+    crafted = _reseal(blob)
+    _, back = read_tdc(crafted)
+    assert back.levels.tolist() == [[0], [-2]]
+    assert _decode_exit_code(tmp_path, crafted) == 0
+    plain = tmp_path / "plain.tdc"
+    plain.write_bytes(bytes(write_tdc(qset, sample_rate=8000, original_length=16,
+                                      block_size=16, half_size=32)))
+    main(["decode", "--in", str(plain), "--out", str(tmp_path / "plain.wav")])
+    assert (tmp_path / "x.wav").read_bytes() == (tmp_path / "plain.wav").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "levels", [np.array([1, -2]), np.zeros((2, 0), dtype=np.int64)],
+    ids=["one_dimensional", "no_columns"],
+)
+def test_write_tdc_rejects_levels_that_are_not_k_by_l(levels):
+    qset = QuantizedBlockSet(delta=1.0, index_stream=np.array([3, 2]), levels=levels)
+    with pytest.raises(FormatError, match="levels of shape"):
+        write_tdc(qset, sample_rate=8000, original_length=16,
                   block_size=16, half_size=32)
+
+
+def test_write_tdc_rejects_levels_without_one_row_per_atom():
+    qset = QuantizedBlockSet(delta=1.0, index_stream=np.array([3, 0, 2]),
+                             levels=np.array([[1]]))
+    with pytest.raises(FormatError, match="2 atoms, levels 1 rows"):
+        write_tdc(qset, sample_rate=8000, original_length=20,
+                  block_size=16, half_size=32)
+
+
+def _one_block(indices):
+    indices = np.asarray(indices, dtype=np.int64)
+    return serialize_decompositions(
+        [AtomicDecomposition(indices, np.ones((indices.size, 1)))], 1.0
+    )
+
+
+@pytest.mark.parametrize(
+    "indices, block_size, half_size, message",
+    [([1], 1, 1, "geometry"),
+     ([1], 16, 8, "geometry"),
+     ([1], 1 << 17, 1 << 17, "limits"),
+     ([1], 16, 1 << 21, "limits"),
+     ([100], 8, 8, "alphabet bound 101"),
+     (range(1, 11), 8, 8, "total_atoms 10 exceeds")],
+    ids=["block_size_1", "half_below_block", "block_size_above_limit",
+         "half_size_above_limit", "index_bound", "atoms_per_block"],
+)
+def test_write_tdc_refuses_headers_that_read_tdc_refuses(monkeypatch, indices,
+                                                         block_size, half_size,
+                                                         message):
+    # one block of one sample; each case breaks one of read_tdc's checks
+    kw = dict(sample_rate=8000, original_length=1, block_size=block_size,
+              half_size=half_size)
+    with pytest.raises(FormatError, match=message):
+        write_tdc(_one_block(indices), **kw)
+    with monkeypatch.context() as m:
+        m.setattr("tdcodec.container._check_header", lambda *args: None)
+        blob = write_tdc(_one_block(indices), **kw)
+    with pytest.raises(FormatError, match=message):
+        read_tdc(blob)
 
 
 def _sign_byte_length_plus_one(blob: bytearray):
@@ -688,7 +744,7 @@ def _fuzz_file() -> bytes:
     # makes the coefficient levels wide (up to 23 bits, 21 of them bypass bits)
     qset = make_qset(np.random.default_rng(11), channels=_FUZZ_CHANNELS,
                      delta=1e-6)
-    assert all(int(s.max()) >= 1 << 16 for s in qset.coeff_streams)
+    assert (np.abs(qset.levels).max(axis=0) >= 1 << 16).all()
     return write_tdc(qset, sample_rate=8000, original_length=40,
                      block_size=16, half_size=32)
 
@@ -701,7 +757,7 @@ def _payload_fields(blob: bytes) -> list[tuple[int, str]]:
     pos = len(blob) - sum(r.byte_length for r in header.stream_records)
     fields = []
     for rec, values in zip(header.stream_records,
-                           [qset.index_stream, *qset.coeff_streams]):
+                           [qset.index_stream, *np.abs(qset.levels).T]):
         data = blob[pos : pos + rec.byte_length]
         buckets = 2 * (rec.alphabet_bound - 1).bit_length() + 2
         table = entropy._unpack_table(data, buckets)[1]
@@ -791,8 +847,7 @@ def test_three_channel_container_roundtrip(rng):
     header, back = read_tdc(blob)
     assert header.channel_count == 3
     assert len(header.stream_records) == 7
-    for a, b in zip(back.coeff_streams, qset.coeff_streams):
-        assert np.array_equal(a, b)
+    assert np.array_equal(back.levels, qset.levels)
 
 
 def test_full_pipeline_near_lossless_roundtrip(rng):

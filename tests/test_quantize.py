@@ -66,17 +66,15 @@ def test_sorting_reorders_coefficients_and_signs_in_lockstep():
     d = dec([9, 2, 5], [[-1.2, 0.4], [2.2, -0.6], [0.0, 3.0]])
     qs = serialize_decompositions([d], 0.5)
     # ascending index order is 2, 5, 9
-    assert qs.coeff_streams[0].tolist() == [4, 0, 2]
-    assert qs.coeff_streams[1].tolist() == [1, 6, 1]
-    assert qs.sign_streams[0].tolist() == [0, 0, 1]
-    assert qs.sign_streams[1].tolist() == [1, 0, 0]
+    assert qs.levels.tolist() == [[4, -1], [0, 6], [-2, 1]]
+    assert qs.levels.dtype == np.int64
 
 
 def test_zero_quantized_coefficient_keeps_slot_with_positive_sign():
     d = dec([4], [[-0.2]])   # |c|/delta + 0.5 = 0.7 -> level 0
     qs = serialize_decompositions([d], 1.0)
-    assert qs.coeff_streams[0].tolist() == [0]
-    assert qs.sign_streams[0].tolist() == [0]
+    assert qs.levels.tolist() == [[0]]
+    assert not np.signbit(qs.levels).any()
 
 
 def test_duplicate_index_rejected():
@@ -102,12 +100,7 @@ def test_each_refusal_names_the_lowest_block_at_fault():
 
 def test_parse_rebuilds_indices_by_cumulative_sum():
     qs = QuantizedBlockSet(
-        delta=1.0,
-        index_stream=np.array([2, 3, 4]),
-        coeff_streams=[np.array([1, 2, 3])],
-        sign_streams=[np.array([0, 1, 0], dtype=np.uint8)],
-        block_count=1,
-        channel_count=1,
+        delta=1.0, index_stream=np.array([2, 3, 4]), levels=np.array([[1], [-2], [3]])
     )
     [(idx, values)] = parse_streams(qs)
     assert idx.tolist() == [2, 5, 9]
@@ -115,68 +108,35 @@ def test_parse_rebuilds_indices_by_cumulative_sum():
 
 
 def test_empty_block_segment_parses_to_no_atoms():
-    qs = QuantizedBlockSet(
-        delta=1.0,
-        index_stream=np.array([0, 5]),
-        coeff_streams=[np.array([7])],
-        sign_streams=[np.array([0], dtype=np.uint8)],
-        block_count=2,
-        channel_count=1,
-    )
+    qs = QuantizedBlockSet(delta=1.0, index_stream=np.array([0, 5]),
+                           levels=np.array([[7]]))
+    assert qs.block_count == 2 and qs.total_atoms == 1
     blocks = parse_streams(qs)
     assert blocks[0][0].size == 0
     assert blocks[1][0].tolist() == [5]
 
 
-def test_parse_reports_separator_count_mismatch_with_position():
-    qs = QuantizedBlockSet(
-        delta=1.0,
-        index_stream=np.array([1, 0, 2]),
-        coeff_streams=[np.array([1, 1])],
-        sign_streams=[np.array([0, 0], dtype=np.uint8)],
-        block_count=3,
-        channel_count=1,
-    )
+@pytest.mark.parametrize(
+    "levels",
+    [np.array([[1]]), np.array([[1], [2], [3]]), np.array([1, 2]), np.array(1)],
+    ids=["too_few_rows", "too_many_rows", "one_dimensional", "scalar"],
+)
+def test_parse_rejects_stream_length_mismatch(levels):
+    qs = QuantizedBlockSet(delta=1.0, index_stream=np.array([1, 0, 2]), levels=levels)
+    with pytest.raises(StreamError, match="one row to each of the 2 atoms"):
+        parse_streams(qs)
+
+
+def test_parse_rejects_negative_index_symbols_with_position():
+    qs = QuantizedBlockSet(delta=1.0, index_stream=np.array([1, 0, -2]),
+                           levels=np.array([[1], [2]]))
     with pytest.raises(StreamError) as err:
         parse_streams(qs)
-    assert err.value.position is not None
-
-
-def test_parse_rejects_stream_length_mismatch():
-    qs = QuantizedBlockSet(
-        delta=1.0,
-        index_stream=np.array([1, 2]),
-        coeff_streams=[np.array([1])],
-        sign_streams=[np.array([0], dtype=np.uint8)],
-        block_count=1,
-        channel_count=1,
-    )
-    with pytest.raises(StreamError):
-        parse_streams(qs)
-
-
-def test_parse_rejects_bad_sign_symbols():
-    qs = QuantizedBlockSet(
-        delta=1.0,
-        index_stream=np.array([1]),
-        coeff_streams=[np.array([1])],
-        sign_streams=[np.array([2], dtype=np.uint8)],
-        block_count=1,
-        channel_count=1,
-    )
-    with pytest.raises(StreamError):
-        parse_streams(qs)
+    assert err.value.position == 2
 
 
 def test_parse_rejects_nonpositive_delta():
-    qs = QuantizedBlockSet(
-        delta=0.0,
-        index_stream=np.array([1]),
-        coeff_streams=[np.array([1])],
-        sign_streams=[np.array([0], dtype=np.uint8)],
-        block_count=1,
-        channel_count=1,
-    )
+    qs = QuantizedBlockSet(delta=0.0, index_stream=np.array([1]), levels=np.array([[1]]))
     with pytest.raises(StreamError):
         parse_streams(qs)
 
@@ -247,12 +207,9 @@ def test_parse_matches_the_symbol_loop_around_empty_blocks():
     qs = QuantizedBlockSet(
         delta=1.0,
         index_stream=np.array([0, 4, 1, 7, 0, 0, 2, 0]),
-        coeff_streams=[np.array([1, 2, 3, 4]), np.array([0, 5, 6, 7])],
-        sign_streams=[np.array([0, 1, 0, 1], dtype=np.uint8),
-                      np.array([1, 0, 0, 1], dtype=np.uint8)],
-        block_count=5,
-        channel_count=2,
+        levels=np.array([[1, 0], [-2, 5], [3, 6], [-4, -7]]),
     )
+    assert qs.block_count == 5 and qs.channel_count == 2
     got = parse_streams(qs)
     _assert_same_parse(got, parse_streams_loop(qs))
     assert [idx.tolist() for idx, _ in got] == [[], [4, 5, 12], [], [2], []]

@@ -3,7 +3,9 @@
 Usage:
     python3 tools/tdc_digests.py [--root CHECKOUT]
 
-Each line is ``label sha256 bytes atoms``.  The files are both
+Each line is ``label sha256 bytes atoms wav_sha256``: the last field
+hashes the WAV that ``tdcodec decode`` writes from the file, so one
+``diff`` checks the writer and the reader.  The files are both
 ``perfbench`` workloads at seeds 7, 11 and 101 and ``--threads`` 1, 2
 and 3, plus the dense clip (``harmonic_signal(0)``, stereo, 10 s,
 ``--snr 30``) and its first 3 s at ``--criterion somp`` and ``omp``,
@@ -60,7 +62,7 @@ def main(argv=None) -> int:
                       "criterion": cli.SelectionCriterion[member]}))
 
     with tempfile.TemporaryDirectory(prefix="tdc_digests-") as tmp:
-        wav, tdc = Path(tmp) / "in.wav", Path(tmp) / "out.tdc"
+        wav, tdc, out = (Path(tmp) / name for name in ("in.wav", "out.tdc", "out.wav"))
         for label, samples, settings in jobs:
             run.write_pcm16(wav, samples, corpus.RATE)
             cfg = cli.EncodeConfig(str(wav), str(tdc), block_size=run.BLOCK,
@@ -68,8 +70,11 @@ def main(argv=None) -> int:
             cli.cmd_encode(cfg, out=io.StringIO())
             blob = tdc.read_bytes()
             header, _ = container.read_tdc(blob)
+            cli.cmd_decode(str(tdc), str(out))
             digest = hashlib.sha256(blob).hexdigest()
-            print(f"{label:30s} {digest} {len(blob):8d} {header.total_atoms:7d}", flush=True)
+            decoded = hashlib.sha256(out.read_bytes()).hexdigest()
+            print(f"{label:30s} {digest} {len(blob):8d} {header.total_atoms:7d} {decoded}",
+                  flush=True)
     return 0
 
 

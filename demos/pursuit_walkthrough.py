@@ -16,7 +16,6 @@ from tdcodec import (
     hbw_pursuit,
     pursuit_to_snr,
     snr,
-    synthesize_block,
 )
 
 
@@ -41,11 +40,8 @@ def main():
     print("atom budget sweep (atoms per block):")
     for budget in (2, 4, 8, 12):
         res = hbw_pursuit(blocks, d, budget, SelectionCriterion.OOMPML)
-        counts = [dec.atom_count for dec in res.decompositions]
-        rec = np.vstack(
-            [synthesize_block(d, dec.indices, dec.coefficients)
-             for dec in res.decompositions]
-        )
+        counts = res.atoms.counts.tolist()
+        rec = np.vstack(d.synthesize(res.atoms))
         quality = snr(np.vstack(blocks), rec)
         print(f"  K={budget:>2}  ->  {counts}   snr {quality:6.2f} dB")
 
@@ -55,7 +51,7 @@ def main():
     marks = np.linspace(0, res.atom_count - 1, 6, dtype=int)
     for k in marks:
         print(f"    after {k + 1:>2} atoms: {res.snr_trace[k]:6.2f} dB")
-    counts = [dec.atom_count for dec in res.decompositions]
+    counts = res.atoms.counts.tolist()
     print(f"  final allocation: {counts}  (rich block first, silence last)")
 
 

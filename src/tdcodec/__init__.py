@@ -8,6 +8,13 @@ and magnitudes as bit-length buckets with interleaved rANS plus raw
 bypass bits, pack the sign bits, and wrap everything in a checksummed
 .tdc container.
 
+Every stage holds a clip's atoms as one ``AtomTable``: per-block atom
+counts, the atom indices and their ``(K, L)`` values in block order.
+The pursuit returns one of coefficients (``PursuitResult.atoms``),
+``parse_streams`` one of quantization levels, and
+``TrigDictionary.synthesize`` takes one; iterating a table yields each
+block's ``(indices, values)``.
+
 The pursuit's block-level steps (``BlockState``, ``init_block_state``,
 ``select_candidate``, ``accept_candidate``, ``rank_blocks``,
 ``compute_coefficients``), ``synthesize_block`` and the entropy coder
@@ -31,11 +38,10 @@ from .container import (
     write_tdc,
     write_wav,
 )
-from .dictionary import TrigDictionary, synthesize_block
+from .dictionary import AtomTable, TrigDictionary, synthesize_block
 from .entropy import EntropyDecodeError, SymbolStream, arith_decode, arith_encode
 from .metrics import SNR_CAP_DB, QualityReport, rate_report, snr
 from .pursuit import (
-    AtomicDecomposition,
     BlockState,
     PursuitResult,
     SelectionCriterion,
@@ -57,7 +63,7 @@ from .quantize import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicDecomposition",
+    "AtomTable",
     "BadMagicError",
     "ChecksumError",
     "ContainerError",

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import container, entropy, metrics, quantize
 from .container import MultichannelSignal
-from .dictionary import TrigDictionary
+from .dictionary import AtomTable, TrigDictionary
 # The decoder synthesizes with TrigDictionary.synthesize; perfbench/spans.py
 # still looks synthesize_block up on this module by name.
 from .dictionary import synthesize_block  # noqa: F401
@@ -109,7 +109,8 @@ class _ErrorModel:
         |r_q|^2 + |R_q E_q|^2.
 
     Set-up stacks the factors of blocks with equal atom count, and each
-    evaluation is one batched ``R @ E`` per atom count.  The last block is
+    evaluation gathers their rows of ``E`` for one batched ``R @ E`` per
+    atom count.  The last block is
     the exception: the decoder drops its padding, which breaks the
     orthogonality, so that one block is decoded exactly, through
     ``TrigDictionary.synthesize``.
@@ -121,23 +122,20 @@ class _ErrorModel:
         result: PursuitResult,
         parted: container.PartitionedSignal,
     ):
-        blocks, decs = parted.blocks, result.decompositions
+        blocks, atoms = parted.blocks, result.atoms
         self.dico = dico
         self.signal_energy = float(sum(np.vdot(x, x) for x in blocks))
         self.residual_energy = float(result.residual_energies[:-1].sum())
-        self.last_indices = decs[-1].indices
+        self.coefs = atoms.values
+        counts, starts = atoms.counts[:-1], np.cumsum(atoms.counts) - atoms.counts
+        self.last_row = int(starts[-1])
+        self.last_indices = atoms.indices[self.last_row :]
         self.last_samples = blocks[-1][: dico.block_size - parted.pad_length]
-        counts = np.array([dec.atom_count for dec in decs[:-1]], dtype=np.int64)
-        self.groups = []    # (stacked factors, their rows of coefs)
-        coefs, row = [], 0
+        self.groups = []    # (stacked factors, their (blocks, k) rows of coefs)
         for k in np.unique(counts[counts > 0]).tolist():
             qs = np.flatnonzero(counts == k)
             factors = np.stack([result.factors[q] for q in qs])
-            self.groups.append((factors, slice(row, row + qs.size * k)))
-            coefs += [decs[q].coefficients for q in qs]
-            row += qs.size * k
-        self.coefs = np.concatenate(coefs + [decs[-1].coefficients])
-        self.last_row = row
+            self.groups.append((factors, starts[qs, None] + np.arange(k)))
 
     def max_coefficient(self) -> float:
         return float(np.abs(self.coefs).max()) if self.coefs.size else 0.0
@@ -147,9 +145,11 @@ class _ErrorModel:
         err = decoded - self.coefs
         energy = self.residual_energy
         for factors, rows in self.groups:
-            e = factors @ err[rows].reshape(len(factors), -1, err.shape[1])
+            e = factors @ err[rows]
             energy += float(np.vdot(e, e))
-        last = self.dico.synthesize([self.last_indices], [decoded[self.last_row :]])
+        last = self.dico.synthesize(
+            AtomTable([self.last_indices.size], self.last_indices, decoded[self.last_row :])
+        )
         miss = self.last_samples - last[0, : len(self.last_samples)]
         energy += float(np.vdot(miss, miss))
         return metrics.snr_from_energies(self.signal_energy, energy)
@@ -278,7 +278,7 @@ def cmd_encode(cfg: EncodeConfig, out=sys.stdout) -> metrics.QualityReport:
             else float("nan")
         )
 
-    qset = quantize.serialize_decompositions(result.decompositions, delta)
+    qset = quantize.serialize_decompositions(result.atoms, delta)
     blob = container.write_tdc(
         qset,
         sample_rate=signal.sample_rate,
@@ -303,14 +303,13 @@ def cmd_encode(cfg: EncodeConfig, out=sys.stdout) -> metrics.QualityReport:
 def _decode_samples(data: bytes):
     header, qset = container.read_tdc(data)
     dico = TrigDictionary(header.block_size, header.half_size)
-    parsed = quantize.parse_streams(qset)
+    levels = quantize.parse_streams(qset)
     # read_tdc keeps delta times every level finite, but a sum of atoms
     # can still overflow; such a file is refused, without numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = dico.synthesize(
-            [idx for idx, _ in parsed],
-            [header.delta * values.astype(float) for _, values in parsed],
-        )
+        blocks = dico.synthesize(AtomTable(
+            levels.counts, levels.indices, header.delta * levels.values.astype(float)
+        ))
     if not np.isfinite(blocks).all():
         raise container.FormatError("decoded samples are not finite")
     pad = header.block_count * header.block_size - header.original_length

@@ -383,6 +383,14 @@ def _check_header(channels: int, sample_rate: int, length: int, block_size: int,
         )
 
 
+def _check_scale(delta: float, mags: np.ndarray) -> None:
+    """Refuse a ``delta`` whose product with the largest of the level
+    magnitudes ``mags`` is not finite; the writer and the reader share this."""
+    top = int(mags.max()) if mags.size else 0
+    if not math.isfinite(delta * top):
+        raise FormatError(f"delta {delta!r} times level {top} is not finite")
+
+
 def write_tdc(
     qset: QuantizedBlockSet,
     *,
@@ -402,10 +410,17 @@ def write_tdc(
         raise FormatError(
             f"index stream holds {len(index_stream) - q + 1} atoms, levels {k} rows"
         )
+    mags = np.abs(levels)
+    _check_scale(qset.delta, mags)
+    try:
+        head = _FIXED.pack(MAGIC, VERSION, sample_rate, channels, length, block_size,
+                           half_size, q, k, qset.delta)
+    except struct.error as exc:
+        raise FormatError(f"a header field is wider than its slot: {exc}") from None
 
     payloads = []
     records = []
-    for symbols in [index_stream, *np.abs(levels).T]:
+    for symbols in [index_stream, *mags.T]:
         bound = _bound(symbols)
         payloads.append(entropy.arith_encode(entropy.SymbolStream(symbols, bound)))
         records.append(StreamRecord(bound, len(symbols), len(payloads[-1])))
@@ -413,19 +428,6 @@ def write_tdc(
         payloads.append(np.packbits(bits).tobytes())
         records.append(StreamRecord(2, k, len(payloads[-1])))
     payload = b"".join(payloads)
-
-    head = _FIXED.pack(
-        MAGIC,
-        VERSION,
-        sample_rate,
-        channels,
-        length,
-        block_size,
-        half_size,
-        q,
-        k,
-        qset.delta,
-    )
     head += b"".join(
         _RECORD.pack(r.alphabet_bound, r.symbol_count, r.byte_length) for r in records
     )
@@ -510,9 +512,7 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
         for b, r in zip(blobs[: 1 + channels], records)
     ]
     index_stream, mags = streams[0], np.stack(streams[1:], axis=1)
-    top = int(mags.max()) if mags.size else 0
-    if not math.isfinite(delta * top):
-        raise FormatError(f"delta {delta!r} times level {top} is not finite")
+    _check_scale(delta, mags)
     n_sep = int(np.count_nonzero(index_stream == 0))
     if n_sep != q - 1:
         raise FormatError(f"index stream has {n_sep} separators, expected {q - 1}")

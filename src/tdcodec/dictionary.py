@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["TrigDictionary", "synthesize_block"]
+__all__ = ["AtomTable", "TrigDictionary", "synthesize_block"]
 
 # Half-spectrum bins per batched FFT call (256 KB of complex spectrum), so
 # memory stays bounded whatever the block count, channel count and
@@ -26,6 +26,35 @@ __all__ = ["TrigDictionary", "synthesize_block"]
 # heap, and the peak RSS of encoding and decoding that clip in one
 # process rose from 305 to 365 MB.
 FFT_CHUNK_BINS = 1 << 14
+
+
+class AtomTable:
+    """A decomposition set in compressed sparse row form, one row per block.
+
+    ``counts`` is ``(Q,)``: block ``q`` holds rows ``sum(counts[:q])`` up to
+    ``sum(counts[:q + 1])`` of ``indices``, the ``(K,)`` 1-based atom
+    indices, and of ``values``, their ``(K, L)`` coefficients or signed
+    quantization levels.  Iterating yields each block's ``(indices,
+    values)`` as views.
+    """
+
+    def __init__(self, counts, indices, values):
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.values = np.asarray(values)
+        if self.counts.ndim != 1 or (self.counts < 0).any():
+            raise ValueError("atom counts must be one nonnegative count per block")
+        k = int(self.counts.sum())
+        if self.indices.shape != (k,) or self.values.ndim != 2 or len(self.values) != k:
+            raise ValueError(
+                f"indices of shape {self.indices.shape} and values of shape "
+                f"{self.values.shape} do not match the atom count {k}"
+            )
+
+    def __iter__(self):
+        ends = np.cumsum(self.counts)
+        for start, end in zip((ends - self.counts).tolist(), ends.tolist()):
+            yield self.indices[start:end], self.values[start:end]
 
 
 class TrigDictionary:
@@ -90,8 +119,8 @@ class TrigDictionary:
     def atoms_matrix(self, indices) -> np.ndarray:
         """Materialize atoms as rows of a ``(k, block_size)`` matrix: ``atom(n)`` stacked.
 
-        Intended for synthesis and testing; the pursuit hot path never
-        builds atom matrices.
+        The tests' reference for the panel and for synthesis; the codec
+        itself never builds atom matrices.
         """
         idx = np.asarray(indices, dtype=np.int64).reshape(-1)
         out = np.empty((idx.size, self.block_size))
@@ -132,34 +161,26 @@ class TrigDictionary:
         np.divide(z.imag[..., 1:], self._neg_w_sin, out=out[..., m:])
         return out
 
-    def synthesize(self, indices, coefficients) -> np.ndarray:
+    def synthesize(self, table: AtomTable) -> np.ndarray:
         """Blocks ``sum_n c[n] * atom(indices[n])``: the adjoint of the panel.
 
-        ``indices`` holds one 1-D array of atom indices per block and
-        ``coefficients`` one ``(k, L)`` array per block; the result is
-        ``(Q, block_size, L)``.  Cosine atom ``n`` puts ``c / |d_n|`` into
-        the real part of bin ``n - 1`` of a half-spectrum, sine atom ``n``
-        puts ``-c / |d_n|`` into the imaginary part of bin ``n - M``; the
-        spectrum is rotated back (the conjugate of the panel's rotation)
-        and one length-``2M`` inverse real FFT per block and channel gives
-        the samples, of which the first ``block_size`` are kept.  Bins 0
-        and ``M`` count twice because the inverse FFT halves them.  Rows
-        go through the FFT ``FFT_CHUNK_BINS`` bins at a time.
+        ``table`` holds each block's atom indices and ``(k, L)``
+        coefficients; the result is ``(Q, block_size, L)``.  Cosine atom
+        ``n`` puts ``c / |d_n|`` into the real part of bin ``n - 1`` of a
+        half-spectrum, sine atom ``n`` puts ``-c / |d_n|`` into the
+        imaginary part of bin ``n - M``; the spectrum is rotated back (the
+        conjugate of the panel's rotation) and one length-``2M`` inverse
+        real FFT per block and channel gives the samples, of which the first
+        ``block_size`` are kept.  Bins 0 and ``M`` count twice because the
+        inverse FFT halves them.  Rows go through the FFT ``FFT_CHUNK_BINS``
+        bins at a time.
         """
         m, nb = self.half_size, self.block_size
-        idxs = [np.asarray(i, dtype=np.int64).reshape(-1) for i in indices]
-        coefs = [np.asarray(c, dtype=float) for c in coefficients]
-        if len(idxs) != len(coefs):
-            raise ValueError("indices and coefficients disagree on block count")
-        q = len(idxs)
-        counts = np.array([i.size for i in idxs], dtype=np.int64)
-        idx = np.concatenate(idxs + [np.empty(0, dtype=np.int64)])
-        channels = coefs[0].shape[-1] if coefs else 1
-        if any(c.shape != (k, channels) for c, k in zip(coefs, counts.tolist())):
-            raise ValueError("indices and coefficients disagree on atom count")
+        idx, counts = table.indices, table.counts
+        q, channels = counts.size, table.values.shape[1]
         if idx.size and (idx.min() < 1 or idx.max() > 2 * m):
             raise ValueError(f"atom index out of range 1..{2 * m}")
-        coef = np.concatenate(coefs + [np.empty((0, channels))])
+        coef = np.asarray(table.values, dtype=float)
 
         # One complex spectrum entry per (atom, channel), already rotated and
         # scaled, at bin n - 1 (cosine) or n - M (sine, times -i) of row
@@ -203,4 +224,4 @@ def synthesize_block(dico: TrigDictionary, indices, coefficients) -> np.ndarray:
     coef = np.asarray(coefficients, dtype=float)
     if coef.ndim == 1:
         coef = coef[:, None]
-    return dico.synthesize([indices], [coef])[0]
+    return dico.synthesize(AtomTable([len(coef)], indices, coef))[0]

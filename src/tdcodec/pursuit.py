@@ -19,8 +19,7 @@ the triangular factor ``r[i, k] = <w_i, d_k>`` of the selected atoms
 ``d_k`` sits beside it, both in arrays that double in capacity as atoms
 arrive.  Each accepted row's products with the block, ``wf[i] = <w_i, f>``,
 are kept as it arrives; the coefficients of any prefix of ``k`` atoms
-solve ``r[:k, :k] c = wf[:k]``, and the biorthogonal dual ``r^-1 w`` is
-only derived on request (``BlockState.bior``).
+solve ``r[:k, :k] c = wf[:k]``.
 
 Inner products against every dictionary atom are cached per channel as a
 full panel and updated incrementally on each acceptance; panels are
@@ -77,13 +76,12 @@ from enum import Enum
 
 import numpy as np
 
-from .dictionary import FFT_CHUNK_BINS, TrigDictionary
+from .dictionary import FFT_CHUNK_BINS, AtomTable, TrigDictionary
 from .metrics import SNR_CAP_DB, snr_from_energies
 
 __all__ = [
     "SelectionCriterion",
     "BlockState",
-    "AtomicDecomposition",
     "PursuitResult",
     "init_block_state",
     "select_candidate",
@@ -110,18 +108,6 @@ class SelectionCriterion(Enum):
     SOMP = "somp"      # maximize sum_j |<d, r_j>|
     MMV_OMP = "omp"    # maximize sum_j |<d, r_j>|^2
     OOMPML = "oomp"    # maximize sum_j |<d, r_j>|^2 / (1 - S_n)
-
-
-@dataclass
-class AtomicDecomposition:
-    """Shared atom indices (selection order, 1-based) and (k, L) coefficients."""
-
-    indices: np.ndarray
-    coefficients: np.ndarray
-
-    @property
-    def atom_count(self) -> int:
-        return int(self.indices.size)
 
 
 @dataclass
@@ -152,21 +138,10 @@ class BlockState:
     def atom_count(self) -> int:
         return len(self.selected)
 
-    @property
-    def ortho(self) -> np.ndarray:
-        """Orthonormal basis of the selected atoms' span, one row each."""
-        return self.w[: len(self.selected)]
-
-    @property
-    def bior(self) -> np.ndarray:
-        """Biorthogonal dual of the selected atoms, ``r^-1 w``, one row each."""
-        k = len(self.selected)
-        return np.linalg.solve(self.r[:k, :k], self.w[:k])
-
 
 @dataclass
 class PursuitResult:
-    decompositions: list[AtomicDecomposition]
+    atoms: AtomTable                  # indices in selection order, (K, L) coefficients
     atom_count: int
     saturated: bool
     factors: list[np.ndarray]         # per block, the (k, k) factor r[:k, :k]
@@ -556,35 +531,26 @@ class _Merge:
 
 
 def _finish(state, k: int, energy: float):
-    """``(decomposition, factor, residual energy)`` of the block's first ``k`` atoms.
+    """``(indices, coefficients, factor, residual energy)`` of the block's first ``k`` atoms.
 
     ``state`` is a block's state or its closed record.
     """
-    decomposition = AtomicDecomposition(
-        indices=np.asarray(state.selected[:k], dtype=np.int64),
-        coefficients=compute_coefficients(state, k),
-    )
-    return decomposition, state.r[:k, :k].copy(), energy
+    indices = np.asarray(state.selected[:k], dtype=np.int64)
+    return indices, compute_coefficients(state, k), state.r[:k, :k].copy(), energy
 
 
 def _unpursued(block: np.ndarray):
-    """The ``_finish`` triple of a block that gets no atoms."""
-    empty = AtomicDecomposition(
-        indices=np.empty(0, dtype=np.int64), coefficients=np.zeros((0, block.shape[1]))
-    )
-    return empty, np.zeros((0, 0)), float(np.sum(np.square(block)))
+    """The ``_finish`` tuple of a block that gets no atoms."""
+    return (np.empty(0, dtype=np.int64), np.zeros((0, block.shape[1])), np.zeros((0, 0)),
+            float(np.sum(np.square(block))))
 
 
 def _result(parts, saturated: bool, **report) -> PursuitResult:
-    decompositions = [dec for dec, _, _ in parts]
-    return PursuitResult(
-        decompositions,
-        sum(dec.atom_count for dec in decompositions),
-        saturated,
-        [factor for _, factor, _ in parts],
-        np.array([energy for _, _, energy in parts]),
-        **report,
-    )
+    indices, coefs, factors, energies = zip(*parts)
+    atoms = AtomTable([i.size for i in indices], np.concatenate(indices),
+                      np.concatenate(coefs))
+    return PursuitResult(atoms, atoms.indices.size, saturated, list(factors),
+                         np.array(energies), **report)
 
 
 class _Budget:
@@ -777,7 +743,7 @@ def _pursue_in_workers(pilot, rest, dico, criterion, stop, workers):
 
 
 def _pursue_blocks(blocks, dico, criterion, stop, threads):
-    """``(saturated, per-block _finish triples)`` of the pursuit under ``stop``.
+    """``(saturated, per-block _finish tuples)`` of the pursuit under ``stop``.
 
     At most ``LIVE_BLOCKS`` blocks keep their panels alive at once.  The
     pilot, blocks ``0, s, 2s, ...`` with ``s = ceil(Q / LIVE_BLOCKS)``,
@@ -828,7 +794,8 @@ def hbw_pursuit(
 ) -> PursuitResult:
     """Distribute ``budget`` atoms over the partition, one upgrade at a time.
 
-    Every step upgrades the block whose candidate has the largest gain; results are deterministic, and independent of ``threads`` (see
+    Every step upgrades the block whose candidate has the largest gain.
+    Results are deterministic, and independent of ``threads`` (see
     ``worker_count``), because ties break to the smallest atom and block
     indices.  A budget beyond what the partition can absorb returns at
     saturation with the ``saturated`` flag set rather than raising.

@@ -1,10 +1,12 @@
-"""Uniform quantization and symbol-stream layout for atomic decompositions.
+"""Uniform quantization and symbol-stream layout of an atom table.
 
-A decomposed signal is carried by one shared index stream (per-block
-ascending atom indices stored as a leading value plus consecutive
-differences, blocks separated by ``0``) and a ``(K, L)`` array of signed
-quantization levels, one row per atom in index-stream order.  The
-container splits the levels into magnitude and sign streams.
+A decomposed signal is an :class:`~tdcodec.dictionary.AtomTable`.  It is
+carried by one shared index stream (per-block ascending atom indices
+stored as a leading value plus consecutive differences, blocks separated
+by ``0``) and a ``(K, L)`` array of signed quantization levels, one row
+per atom in index-stream order.  ``parse_streams`` turns the two back
+into a table of levels.  The container splits the levels into magnitude
+and sign streams.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dictionary import AtomTable
 
 __all__ = [
     "StreamError",
@@ -67,8 +71,8 @@ def quantize_levels(coef, delta: float) -> np.ndarray:
     return np.where(coef < 0, -mags, mags)
 
 
-def serialize_decompositions(decompositions, delta: float) -> QuantizedBlockSet:
-    """Sort, delta-code and quantize per-block decompositions.
+def serialize_decompositions(table: AtomTable, delta: float) -> QuantizedBlockSet:
+    """Sort, delta-code and quantize a table of coefficients.
 
     Indices are sorted ascending per block; the same permutation is applied
     to every channel's coefficients.  A coefficient that quantizes to zero
@@ -77,21 +81,14 @@ def serialize_decompositions(decompositions, delta: float) -> QuantizedBlockSet:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if not decompositions:
+    counts = table.counts
+    if not counts.size:
         raise ValueError("need at least one block")
-    channels = decompositions[0].coefficients.shape[1]
-    indices = [np.asarray(dec.indices, dtype=np.int64) for dec in decompositions]
-    coefs = [np.asarray(dec.coefficients, dtype=float) for dec in decompositions]
-    for q, (idx, coef) in enumerate(zip(indices, coefs)):
-        if coef.shape != (idx.size, channels):
-            raise ValueError(f"block {q}: coefficient shape {coef.shape} mismatch")
 
     # every atom at once, ordered by block, then index
-    counts = [idx.size for idx in indices]
-    block = np.repeat(np.arange(len(indices)), counts)
-    idx, coef = np.concatenate(indices), np.concatenate(coefs)
-    order = np.lexsort((idx, block))
-    idx, block, coef = idx[order], block[order], coef[order]
+    block = np.repeat(np.arange(counts.size), counts)
+    order = np.lexsort((table.indices, block))
+    idx, block, coef = table.indices[order], block[order], table.values[order]
     bad = idx < 1
     if bad.any():
         raise ValueError(f"block {block[bad.argmax()]}: atom indices must be >= 1")
@@ -109,10 +106,10 @@ def serialize_decompositions(decompositions, delta: float) -> QuantizedBlockSet:
     )
 
 
-def parse_streams(qset: QuantizedBlockSet) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rebuild per-block ``(indices, signed quantized coefficients)``.
+def parse_streams(qset: QuantizedBlockSet) -> AtomTable:
+    """Rebuild the table of absolute atom indices and signed levels.
 
-    The returned coefficients are signed integers; multiplying by
+    The table's values are the signed integer levels; multiplying by
     ``qset.delta`` recovers the reconstruction values.  Raises
     :class:`StreamError` for any malformed stream.
     """
@@ -139,5 +136,4 @@ def parse_streams(qset: QuantizedBlockSet) -> list[tuple[np.ndarray, np.ndarray]
     ends = np.cumsum(counts)
     running = np.cumsum(gaps)
     before = np.concatenate([[0], running])[ends - counts]
-    indices = running - np.repeat(before, counts)
-    return list(zip(np.split(indices, ends[:-1]), np.split(levels, ends[:-1])))
+    return AtomTable(counts, running - np.repeat(before, counts), levels)

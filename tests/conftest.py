@@ -15,10 +15,21 @@ def random_blocks(rng, q, nb, channels):
     return [rng.normal(size=(nb, channels)) for _ in range(q)]
 
 
+def atom_table(blocks):
+    """The ``AtomTable`` of per-block ``(indices, (k, L) values)`` pairs, in order."""
+    from tdcodec import AtomTable
+
+    indices = [np.asarray(idx, dtype=np.int64) for idx, _ in blocks]
+    return AtomTable([idx.size for idx in indices], np.concatenate(indices),
+                     np.concatenate([values for _, values in blocks]))
+
+
 def assert_state_invariants(state, dico, block, *, ortho_tol=1e-10, bior_tol=1e-8,
                             energy_tol=1e-7):
     """Numerical health checks on a finished (or mid-run) block state."""
     from tdcodec.pursuit import compute_coefficients
+
+    from oracles import bior, ortho
 
     block = np.asarray(block, float)
     if block.ndim == 1:
@@ -28,13 +39,13 @@ def assert_state_invariants(state, dico, block, *, ortho_tol=1e-10, bior_tol=1e-
     assert all(1 <= n <= dico.num_atoms for n in state.selected)
     if k == 0:
         return
-    basis = np.vstack(state.ortho)
+    basis = np.vstack(ortho(state))
     gram = basis @ basis.T
     off = gram - np.diag(np.diag(gram))
     assert np.abs(off).max() <= ortho_tol
 
     atoms = dico.atoms_matrix(state.selected)
-    biors = np.vstack(state.bior)
+    biors = np.vstack(bior(state))
     cross = biors @ atoms.T
     assert np.abs(cross - np.eye(k)).max() <= bior_tol
 

@@ -121,6 +121,17 @@ def snr_direct(original, recovered) -> float:
     return 10.0 * np.log10(np.sum(o * o) / np.sum((o - r) ** 2))
 
 
+def ortho(state):
+    """Orthonormal basis of a block state's selected atoms' span, one row each."""
+    return state.w[: len(state.selected)]
+
+
+def bior(state):
+    """Biorthogonal dual of a block state's selected atoms, ``r^-1 w``, one row each."""
+    k = len(state.selected)
+    return np.linalg.solve(state.r[:k, :k], state.w[:k])
+
+
 def atoms_synthesis(dico, indices, coef):
     """``(N_b, L)`` block as the atom matrix times the coefficients."""
     coef = np.asarray(coef, float)

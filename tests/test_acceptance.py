@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from tdcodec import (
-    AtomicDecomposition,
     MultichannelSignal,
     SelectionCriterion,
     TrigDictionary,
@@ -25,13 +24,12 @@ from tdcodec import (
     read_wav,
     serialize_decompositions,
     snr,
-    synthesize_block,
     write_tdc,
     write_wav,
 )
 from tdcodec.cli import EncodeConfig, cmd_compare, cmd_decode, cmd_encode
 
-from conftest import assert_state_invariants
+from conftest import assert_state_invariants, atom_table
 from oracles import brute_force_hbw
 
 OOMP = SelectionCriterion.OOMPML
@@ -159,15 +157,16 @@ def test_criterion_4_lossless_chain_fuzz():
             k = int(rng.integers(0, 5))
             idx = rng.choice(np.arange(1, 2 * m + 1), size=k, replace=False)
             coef = rng.normal(size=(k, channels)) * 10 ** rng.uniform(-2, 2)
-            decs.append(AtomicDecomposition(idx.astype(np.int64), coef))
+            decs.append((idx.astype(np.int64), coef))
         delta = 10 ** rng.uniform(-4, 1)
-        qset = serialize_decompositions(decs, delta)
+        qset = serialize_decompositions(atom_table(decs), delta)
 
-        parsed = parse_streams(qset)
-        for (idx, values), dec in zip(parsed, decs):
-            order = np.argsort(dec.indices, kind="stable")
-            assert np.array_equal(idx, dec.indices[order])
-            coef = dec.coefficients[order]
+        parsed = list(parse_streams(qset))
+        assert len(parsed) == q
+        for (idx, values), (indices, coefficients) in zip(parsed, decs):
+            order = np.argsort(indices, kind="stable")
+            assert np.array_equal(idx, indices[order])
+            coef = coefficients[order]
             mags = np.floor(np.abs(coef) / delta + 0.5).astype(np.int64)
             signs = np.where((coef < 0) & (mags > 0), -1, 1)
             assert np.array_equal(values, signs * mags)
@@ -263,24 +262,12 @@ def test_criterion_7_snr_monotone_and_bookkeeping_exact():
         blocks = [rng.normal(size=(nb, channels)) for _ in range(q)]
         res = pursuit_to_snr(blocks, d, 45.0)
         assert np.all(np.diff(res.snr_trace) >= -1e-9)
-        fresh = snr(
-            np.vstack(blocks),
-            np.vstack(
-                [synthesize_block(d, dec.indices, dec.coefficients)
-                 for dec in res.decompositions]
-            ),
-        )
+        fresh = snr(np.vstack(blocks), np.vstack(d.synthesize(res.atoms)))
         assert res.snr_db == pytest.approx(fresh, abs=1e-6)
         # spot-check mid-run bookkeeping against fresh budgeted runs
         for j in (1, res.atom_count // 2, res.atom_count):
             budgeted = hbw_pursuit(blocks, d, j)
-            fresh_j = snr(
-                np.vstack(blocks),
-                np.vstack(
-                    [synthesize_block(d, dec.indices, dec.coefficients)
-                     for dec in budgeted.decompositions]
-                ),
-            )
+            fresh_j = snr(np.vstack(blocks), np.vstack(d.synthesize(budgeted.atoms)))
             assert res.snr_trace[j - 1] == pytest.approx(fresh_j, abs=1e-6)
             checked += 1
     print(

@@ -339,7 +339,8 @@ def test_reported_snr_equals_float_decode_across_clip_layouts(
     assert (header.block_count == 1) == (layout == "single-block")
     assert (header.original_length % NB == 0) == (layout == "whole-blocks")
     if layout == "silent-middle":
-        assert all(idx.size == 0 for idx, _ in parse_streams(qset)[4:9])
+        silent = [idx.size == 0 for idx, _ in parse_streams(qset)]
+        assert all(silent[4:9])
 
 
 def test_melodic_clip_matches_published_style_target(tmp_path, rng):

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tdcodec import (
-    AtomicDecomposition,
+    AtomTable,
     BadMagicError,
     ChecksumError,
     FormatError,
@@ -23,7 +23,6 @@ from tdcodec import (
     read_tdc,
     read_wav,
     serialize_decompositions,
-    synthesize_block,
     write_tdc,
     write_wav,
 )
@@ -31,6 +30,8 @@ from tdcodec import entropy
 from tdcodec.cli import main
 from tdcodec.container import _CRC, _FIXED, _RECORD, VERSION
 from tdcodec.quantize import QuantizedBlockSet
+
+from conftest import atom_table
 
 
 def make_qset(rng, blocks=3, channels=2, atoms_per_block=4, max_index=64,
@@ -40,8 +41,8 @@ def make_qset(rng, blocks=3, channels=2, atoms_per_block=4, max_index=64,
         idx = rng.choice(np.arange(1, max_index + 1), size=atoms_per_block,
                          replace=False)
         coef = rng.normal(size=(atoms_per_block, channels)) * 4
-        decs.append(AtomicDecomposition(idx.astype(np.int64), coef))
-    return serialize_decompositions(decs, delta)
+        decs.append((idx.astype(np.int64), coef))
+    return serialize_decompositions(atom_table(decs), delta)
 
 
 # --- WAV -------------------------------------------------------------------
@@ -457,8 +458,8 @@ def test_write_wav_rejects_fmt_fields_that_overflow(tmp_path, channels, rate):
 def test_decoding_2_to_the_15_channels_exits_3(tmp_path):
     # one 2-sample block per channel fits every cap of the container, but
     # no 16-bit WAV can say 2^15 channels
-    decs = [AtomicDecomposition(np.empty(0, dtype=np.int64), np.zeros((0, 1 << 15)))]
-    blob = write_tdc(serialize_decompositions(decs, 1.0), sample_rate=8000,
+    table = AtomTable([0], [], np.zeros((0, 1 << 15)))
+    blob = write_tdc(serialize_decompositions(table, 1.0), sample_rate=8000,
                      original_length=1, block_size=2, half_size=2)
     assert _decode_exit_code(tmp_path, blob) == 3
 
@@ -652,34 +653,56 @@ def test_write_tdc_rejects_levels_without_one_row_per_atom():
 def _one_block(indices):
     indices = np.asarray(indices, dtype=np.int64)
     return serialize_decompositions(
-        [AtomicDecomposition(indices, np.ones((indices.size, 1)))], 1.0
+        AtomTable([indices.size], indices, np.ones((indices.size, 1))), 1.0
     )
 
 
+# delta 1e303 times level 7 389 299 is past the largest float
+_OVERFLOWING_SCALE = QuantizedBlockSet(delta=1e303, index_stream=np.array([1]),
+                                       levels=np.array([[7389299]]))
+
+
 @pytest.mark.parametrize(
-    "indices, block_size, half_size, message",
-    [([1], 1, 1, "geometry"),
-     ([1], 16, 8, "geometry"),
-     ([1], 1 << 17, 1 << 17, "limits"),
-     ([1], 16, 1 << 21, "limits"),
-     ([100], 8, 8, "alphabet bound 101"),
-     (range(1, 11), 8, 8, "total_atoms 10 exceeds")],
+    "qset, block_size, half_size, message",
+    [(_one_block([1]), 1, 1, "geometry"),
+     (_one_block([1]), 16, 8, "geometry"),
+     (_one_block([1]), 1 << 17, 1 << 17, "limits"),
+     (_one_block([1]), 16, 1 << 21, "limits"),
+     (_one_block([100]), 8, 8, "alphabet bound 101"),
+     (_one_block(range(1, 11)), 8, 8, "total_atoms 10 exceeds"),
+     (_OVERFLOWING_SCALE, 8, 8, "level 7389299 is not finite")],
     ids=["block_size_1", "half_below_block", "block_size_above_limit",
-         "half_size_above_limit", "index_bound", "atoms_per_block"],
+         "half_size_above_limit", "index_bound", "atoms_per_block", "delta_scale"],
 )
-def test_write_tdc_refuses_headers_that_read_tdc_refuses(monkeypatch, indices,
+def test_write_tdc_refuses_headers_that_read_tdc_refuses(monkeypatch, qset,
                                                          block_size, half_size,
                                                          message):
     # one block of one sample; each case breaks one of read_tdc's checks
     kw = dict(sample_rate=8000, original_length=1, block_size=block_size,
               half_size=half_size)
     with pytest.raises(FormatError, match=message):
-        write_tdc(_one_block(indices), **kw)
+        write_tdc(qset, **kw)
     with monkeypatch.context() as m:
         m.setattr("tdcodec.container._check_header", lambda *args: None)
-        blob = write_tdc(_one_block(indices), **kw)
+        m.setattr("tdcodec.container._check_scale", lambda *args: None)
+        blob = write_tdc(qset, **kw)
     with pytest.raises(FormatError, match=message):
         read_tdc(blob)
+
+
+@pytest.mark.parametrize(
+    "qset, sample_rate, slot",
+    [(_one_block([1]), 1 << 32, "4294967295"),
+     (QuantizedBlockSet(delta=1.0, index_stream=np.array([], dtype=np.int64),
+                        levels=np.zeros((0, 1 << 16), dtype=np.int64)), 8000, "65535")],
+    ids=["sample_rate", "channel_count"],
+)
+def test_write_tdc_refuses_a_field_wider_than_its_slot(qset, sample_rate, slot):
+    # the u32 sample rate and the u16 channel count; no file can say these,
+    # so unlike the cases above there are no bytes for read_tdc to refuse
+    with pytest.raises(FormatError, match=f"wider than its slot.*{slot}"):
+        write_tdc(qset, sample_rate=sample_rate, original_length=1, block_size=8,
+                  half_size=8)
 
 
 def _sign_byte_length_plus_one(blob: bytearray):
@@ -827,11 +850,7 @@ def test_header_mutation_fuzz_exits_0_or_3(tmp_path, capsys, mutation):
 
 
 def test_empty_signal_container_is_minimal(rng):
-    decs = [
-        AtomicDecomposition(np.empty(0, dtype=np.int64), np.zeros((0, 2)))
-        for _ in range(2)
-    ]
-    qset = serialize_decompositions(decs, 1.0)
+    qset = serialize_decompositions(AtomTable([0, 0], [], np.zeros((0, 2))), 1.0)
     blob = write_tdc(qset, sample_rate=8000, original_length=20,
                      block_size=16, half_size=32)
     header, back = read_tdc(blob)
@@ -859,13 +878,12 @@ def test_full_pipeline_near_lossless_roundtrip(rng):
     samples = pcm / 32768.0
     parted = partition(MultichannelSignal(samples, 8000), nb)
     res = hbw_pursuit(parted.blocks, d, budget=parted.block_count * nb)
-    qset = serialize_decompositions(res.decompositions, 1e-8)
+    qset = serialize_decompositions(res.atoms, 1e-8)
     blob = write_tdc(qset, sample_rate=8000, original_length=600,
                      block_size=nb, half_size=2 * nb)
     header, back = read_tdc(blob)
-    rec_blocks = [
-        synthesize_block(d, idx, header.delta * values.astype(float))
-        for idx, values in parse_streams(back)
-    ]
-    rec = np.vstack(rec_blocks)[:600]
+    levels = parse_streams(back)
+    rec = np.vstack(d.synthesize(AtomTable(
+        levels.counts, levels.indices, header.delta * levels.values.astype(float)
+    )))[:600]
     assert np.abs(rec - samples).max() <= 1e-4

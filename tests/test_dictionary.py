@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from tdcodec import TrigDictionary, synthesize_block
+from tdcodec import AtomTable, TrigDictionary, synthesize_block
 from tdcodec import dictionary
 
+from conftest import atom_table
 from oracles import (
     atoms_synthesis,
     cos_norm2_direct,
@@ -203,7 +204,7 @@ def test_synthesis_is_the_adjoint_of_the_panel(rng, nb, m):
     coefs = [rng.normal(size=(2 * m, channels)) for _ in range(q)]
     every = np.arange(1, 2 * m + 1)
     y = rng.normal(size=(q, nb, channels))
-    lhs = float(np.sum(d.synthesize([every] * q, coefs) * y))
+    lhs = float(np.sum(d.synthesize(atom_table([(every, c) for c in coefs])) * y))
     panels = d.all_inner_products(y.transpose(0, 2, 1))   # (q, L, 2M)
     rhs = float(np.sum(np.stack(coefs) * panels.transpose(0, 2, 1)))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs), abs(lhs))
@@ -223,7 +224,7 @@ def _synthesis_case(rng, d, k, channels):
 def test_synthesis_matches_atom_matrix_synthesis(rng, nb, m, channels):
     d = TrigDictionary(nb, m)
     cases = [_synthesis_case(rng, d, k, channels) for k in (1, 5, min(300, 2 * m), 0, 4)]
-    got = d.synthesize([i for i, _ in cases], [c for _, c in cases])
+    got = d.synthesize(atom_table(cases))
     assert got.shape == (len(cases), nb, channels)
     for block, (idx, coef) in zip(got, cases):
         want = atoms_synthesis(d, idx, coef)
@@ -235,9 +236,9 @@ def test_synthesis_does_not_depend_on_the_fft_chunk(rng, monkeypatch):
     # one row (block and channel) per inverse FFT splits blocks across chunks
     d = TrigDictionary(16, 32)
     cases = [_synthesis_case(rng, d, k, 3) for k in (5, 0, 64, 1, 7)]
-    whole = d.synthesize([i for i, _ in cases], [c for _, c in cases])
+    whole = d.synthesize(atom_table(cases))
     monkeypatch.setattr(dictionary, "FFT_CHUNK_BINS", 1)
-    rows = d.synthesize([i for i, _ in cases], [c for _, c in cases])
+    rows = d.synthesize(atom_table(cases))
     assert np.array_equal(rows, whole)
 
 
@@ -252,17 +253,44 @@ def test_synthesis_rejects_atom_indices_outside_the_dictionary():
     d = TrigDictionary(16, 32)
     for bad in (0, 65, -3):
         with pytest.raises(ValueError, match="out of range"):
-            d.synthesize([[1, 2], [bad]], [np.ones((2, 1)), np.ones((1, 1))])
+            d.synthesize(AtomTable([2, 1], [1, 2, bad], np.ones((3, 1))))
 
 
-def test_synthesis_rejects_mismatched_counts():
+@pytest.mark.parametrize(
+    "counts, indices, values, message",
+    [([2], [1, 2], np.ones((3, 2)), "atom count 2"),
+     ([1], [1, 2], np.ones((2, 2)), "atom count 1"),
+     ([1, 2], [1], np.ones((1, 2)), "atom count 3"),
+     ([1], [[1]], np.ones((1, 2)), "atom count 1"),
+     ([2], [1, 2], np.ones(2), "atom count 2"),
+     ([3, -1], [1, 2], np.ones((2, 1)), "nonnegative"),
+     ([[2]], [1, 2], np.ones((2, 1)), "nonnegative")],
+    ids=["values_rows", "indices_length", "counts_sum", "indices_2d", "values_1d",
+         "negative_count", "counts_2d"],
+)
+def test_atom_table_rejects_counts_and_shapes_that_disagree(counts, indices, values,
+                                                            message):
+    with pytest.raises(ValueError, match=message):
+        AtomTable(counts, indices, values)
+
+
+def test_synthesize_block_rejects_coefficient_rows_without_an_index():
     d = TrigDictionary(16, 32)
     with pytest.raises(ValueError, match="atom count"):
         synthesize_block(d, [1, 2], np.ones((3, 2)))
-    with pytest.raises(ValueError, match="block count"):
-        d.synthesize([[1]], [])
+
+
+def test_atom_table_iterates_each_blocks_rows_as_views():
+    indices = np.array([4, 1, 9, 2], dtype=np.int64)
+    values = np.arange(8).reshape(4, 2)
+    table = AtomTable([0, 3, 0, 1], indices, values)
+    got = list(table)
+    assert [idx.tolist() for idx, _ in got] == [[], [4, 1, 9], [], [2]]
+    assert [v.tolist() for _, v in got] == [[], [[0, 1], [2, 3], [4, 5]], [], [[6, 7]]]
+    assert all(np.shares_memory(idx, indices) for idx, _ in got if idx.size)
+    assert all(np.shares_memory(v, values) for _, v in got if v.size)
 
 
 def test_synthesis_of_no_blocks_is_empty():
     d = TrigDictionary(16, 32)
-    assert d.synthesize([], []).shape == (0, 16, 1)
+    assert d.synthesize(AtomTable([], [], np.zeros((0, 1)))).shape == (0, 16, 1)

@@ -26,15 +26,13 @@ from tdcodec import pursuit
 from tdcodec.pursuit import BlockState
 
 from conftest import assert_state_invariants, random_blocks
-from oracles import brute_force_hbw, lstsq_fit
+from oracles import bior, brute_force_hbw, lstsq_fit, ortho
 
 OOMP = SelectionCriterion.OOMPML
 
 
 def reconstruct(dico, result):
-    return np.vstack(
-        [synthesize_block(dico, d.indices, d.coefficients) for d in result.decompositions]
-    )
+    return np.vstack(dico.synthesize(result.atoms))
 
 
 def test_single_atom_block_selects_that_atom():
@@ -131,8 +129,8 @@ def test_first_acceptance_sets_w_and_bior_to_the_atom():
     d = TrigDictionary(8, 16)
     state = init_block_state(1.5 * d.atom(4), d, OOMP)
     accept_candidate(state, d)
-    assert state.ortho[0] == pytest.approx(d.atom(4), abs=1e-12)
-    assert state.bior[0] == pytest.approx(d.atom(4), abs=1e-12)
+    assert ortho(state)[0] == pytest.approx(d.atom(4), abs=1e-12)
+    assert bior(state)[0] == pytest.approx(d.atom(4), abs=1e-12)
 
 
 @pytest.mark.parametrize("channels", [1, 2])
@@ -228,7 +226,8 @@ def test_zero_budget_returns_empty_decompositions(rng):
     blocks = random_blocks(rng, 3, 8, 2)
     res = hbw_pursuit(blocks, d, 0)
     assert res.atom_count == 0
-    assert all(dec.atom_count == 0 for dec in res.decompositions)
+    assert res.atoms.counts.tolist() == [0, 0, 0]
+    assert res.atoms.values.shape == (0, 2)
 
 
 def test_distinct_single_atoms_resolve_exactly(rng):
@@ -240,8 +239,8 @@ def test_distinct_single_atoms_resolve_exactly(rng):
         for g, n in zip(gains, atoms)
     ]
     res = hbw_pursuit(blocks, d, budget=3)
-    for dec, n in zip(res.decompositions, atoms):
-        assert list(dec.indices) == [n]
+    for (idx, _), n in zip(res.atoms, atoms):
+        assert list(idx) == [n]
     assert np.linalg.norm(np.vstack(blocks) - reconstruct(d, res)) <= 1e-10
 
 
@@ -277,17 +276,17 @@ def test_budget_and_snr_stops_share_one_selection_sequence(rng):
     by_budget = hbw_pursuit(blocks, d, by_snr.atom_count)
     assert by_budget.atom_count == by_snr.atom_count
     assert not by_budget.saturated
-    for a, b in zip(by_snr.decompositions, by_budget.decompositions):
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.coefficients, b.coefficients)
+    a, b = by_snr.atoms, by_budget.atoms
+    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_silent_block_gets_no_atoms(rng):
     d = TrigDictionary(8, 16)
     blocks = [np.zeros((8, 2)), rng.normal(size=(8, 2))]
     res = hbw_pursuit(blocks, d, budget=4)
-    assert res.decompositions[0].atom_count == 0
-    assert res.decompositions[1].atom_count == 4
+    assert res.atoms.counts.tolist() == [0, 4]
 
 
 def test_somp_equals_mmv_for_single_channel(rng):
@@ -295,8 +294,8 @@ def test_somp_equals_mmv_for_single_channel(rng):
     blocks = random_blocks(rng, 2, 8, 1)
     a = hbw_pursuit(blocks, d, 6, SelectionCriterion.SOMP)
     b = hbw_pursuit(blocks, d, 6, SelectionCriterion.MMV_OMP)
-    for da, db in zip(a.decompositions, b.decompositions):
-        assert np.array_equal(da.indices, db.indices)
+    assert np.array_equal(a.atoms.counts, b.atoms.counts)
+    assert np.array_equal(a.atoms.indices, b.atoms.indices)
 
 
 def test_pursuit_is_deterministic_across_threads(rng):
@@ -304,9 +303,9 @@ def test_pursuit_is_deterministic_across_threads(rng):
     blocks = random_blocks(rng, 4, 8, 2)
     a = hbw_pursuit(blocks, d, 10, threads=1)
     b = hbw_pursuit(blocks, d, 10, threads=3)
-    for da, db in zip(a.decompositions, b.decompositions):
-        assert np.array_equal(da.indices, db.indices)
-        assert np.array_equal(da.coefficients, db.coefficients)
+    assert np.array_equal(a.atoms.counts, b.atoms.counts)
+    assert np.array_equal(a.atoms.indices, b.atoms.indices)
+    assert np.array_equal(a.atoms.values, b.atoms.values)
 
 
 @pytest.mark.parametrize("chunk_bins", [1, 100, 1 << 16])
@@ -435,7 +434,7 @@ def test_every_accept_leaves_the_next_candidate_in_place(rng, criterion):
 
 def _first_pass_norm(state, dico, n):
     """``|w|`` after one Gram-Schmidt pass of atom ``n`` against the state's basis."""
-    basis = state.ortho
+    basis = ortho(state)
     w = dico.atom(n)
     w -= basis.T @ (basis @ w)
     return np.linalg.norm(w)
@@ -586,13 +585,13 @@ def test_result_carries_each_blocks_factor_and_residual_energy(rng, mode):
         res = hbw_pursuit(blocks, d, 20)
     else:
         res = pursuit_to_snr(blocks, d, 15.0)
-    for block, dec, r, energy in zip(
-        blocks, res.decompositions, res.factors, res.residual_energies
+    for block, (idx, coef), r, energy in zip(
+        blocks, res.atoms, res.factors, res.residual_energies
     ):
-        atoms = d.atoms_matrix(dec.indices)
-        assert r.shape == (dec.atom_count,) * 2 and np.array_equal(np.triu(r), r)
+        atoms = d.atoms_matrix(idx)
+        assert r.shape == (idx.size,) * 2 and np.array_equal(np.triu(r), r)
         assert np.allclose(r.T @ r, atoms @ atoms.T, rtol=0, atol=1e-12)
-        residual = block - atoms.T @ dec.coefficients
+        residual = block - atoms.T @ coef
         assert energy == pytest.approx(np.sum(residual**2), rel=1e-12, abs=1e-14)
 
 
@@ -771,11 +770,14 @@ def _rejecting(rule, tally):
     return accept
 
 
-def _noting_run_ahead(real):
+def _noting_run_ahead(real, ahead):
+    """``real``, a ``_finish``, that also appends to ``ahead`` the atoms its
+    block was pursued past its first ``k``; it is called once per block, in
+    block order, so ``ahead[q]`` is block ``q``'s."""
+
     def finish(state, k, energy):
-        dec, factor, e = real(state, k, energy)
-        dec.ran_ahead = len(state.selected) - k
-        return dec, factor, e
+        ahead.append(len(state.selected) - k)
+        return real(state, k, energy)
 
     return finish
 
@@ -814,13 +816,12 @@ def _assert_same_pursuit(got, want):
     else:
         assert np.array_equal(got.snr_trace, want.snr_trace)
     assert np.array_equal(got.residual_energies, want.residual_energies)
-    assert len(got.decompositions) == len(want.decompositions)
-    for g, w, g_r, w_r in zip(
-        got.decompositions, want.decompositions, got.factors, want.factors
-    ):
-        assert np.array_equal(g.indices, w.indices)
-        assert g.coefficients.shape == w.coefficients.shape
-        assert g.coefficients.tobytes() == w.coefficients.tobytes()
+    for name in ("counts", "indices", "values"):
+        g, w = getattr(got.atoms, name), getattr(want.atoms, name)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes(), name
+    assert len(got.factors) == len(want.factors)
+    for g_r, w_r in zip(got.factors, want.factors):
         assert g_r.shape == w_r.shape and np.array_equal(g_r, w_r)
 
 
@@ -838,9 +839,11 @@ def test_worker_processes_replay_the_serial_pursuit_exactly(rng, monkeypatch, ca
     tally = {"rejections": 0}
     if rule is not None:
         monkeypatch.setattr(pursuit, "accept_candidate", _rejecting(rule, tally))
-    monkeypatch.setattr(pursuit, "_finish", _noting_run_ahead(pursuit._finish))
+    ahead = []
+    monkeypatch.setattr(pursuit, "_finish", _noting_run_ahead(pursuit._finish, ahead))
 
     def run(threads):
+        ahead.clear()
         if mode == "budget":
             return hbw_pursuit(blocks, d, budget, criterion, threads=threads)
         return pursuit_to_snr(blocks, d, target, criterion, threads=threads)
@@ -855,8 +858,9 @@ def test_worker_processes_replay_the_serial_pursuit_exactly(rng, monkeypatch, ca
             monkeypatch.setattr(pursuit, "LIVE_BLOCKS", cap)
             res = run(threads)
             _assert_same_pursuit(res, serial)
+            assert len(ahead) == len(blocks)
             if case == "loud-block" and cap == live:
-                assert res.decompositions[4].ran_ahead > 0
+                assert ahead[4] > 0
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -870,14 +874,8 @@ def test_workers_run_at_most_three_rounds_ahead_of_the_merge(rng, monkeypatch, m
     d, blocks, _, budget, target = _replay_case("loud-block", rng)
     _one_worker_per_thread(monkeypatch)
     monkeypatch.setattr(pursuit, "ROUND", 2)
-    real_finish = pursuit._finish
     ahead = []
-
-    def finish(state, k, energy):
-        ahead.append(len(state.selected) - k)
-        return real_finish(state, k, energy)
-
-    monkeypatch.setattr(pursuit, "_finish", finish)
+    monkeypatch.setattr(pursuit, "_finish", _noting_run_ahead(pursuit._finish, ahead))
     with _deadline(60):
         if mode == "budget":
             hbw_pursuit(blocks, d, budget, threads=workers)
@@ -1015,10 +1013,10 @@ def test_truncating_a_block_that_ran_ahead_equals_stopping_it_there(rng):
         exact, exact_energies = run(k)
         got = pursuit._finish(ahead, k, energies[k])
         want = pursuit._finish(exact, k, exact_energies[k])
-        assert np.array_equal(got[0].indices, want[0].indices)
-        assert got[0].coefficients.tobytes() == want[0].coefficients.tobytes()
-        assert np.array_equal(got[1], want[1])
-        assert got[2] == want[2] == pursuit._energy(exact)
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()
+        assert np.array_equal(got[2], want[2])
+        assert got[3] == want[3] == pursuit._energy(exact)
 
 
 def _failing_accept(how):

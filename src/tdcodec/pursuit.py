@@ -803,6 +803,8 @@ def hbw_pursuit(
     if budget < 0:
         raise ValueError("budget must be >= 0")
     blocks = [_check_block(b, dico) for b in blocks]
+    if not blocks:   # a table of no blocks would have no channel count
+        raise ValueError("need at least one block")
     if budget == 0:
         return _result([_unpursued(b) for b in blocks], saturated=False)
     saturated, parts = _pursue_blocks(blocks, dico, criterion, _Budget(budget), threads)

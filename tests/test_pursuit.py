@@ -221,6 +221,15 @@ def test_negative_budget_rejected(rng):
         hbw_pursuit(random_blocks(rng, 1, 8, 1), d, -1)
 
 
+def test_a_pursuit_of_no_blocks_is_refused():
+    d = TrigDictionary(8, 16)
+    for budget in (0, 3):
+        with pytest.raises(ValueError, match="at least one block"):
+            hbw_pursuit([], d, budget)
+    with pytest.raises(ValueError, match="zero signal"):
+        pursuit_to_snr([], d, 20.0)
+
+
 def test_zero_budget_returns_empty_decompositions(rng):
     d = TrigDictionary(8, 16)
     blocks = random_blocks(rng, 3, 8, 2)

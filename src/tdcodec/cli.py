@@ -112,8 +112,8 @@ class _ErrorModel:
     evaluation gathers their rows of ``E`` for one batched ``R @ E`` per
     atom count.  The last block is
     the exception: the decoder drops its padding, which breaks the
-    orthogonality, so that one block is decoded exactly, through
-    ``TrigDictionary.synthesize``.
+    orthogonality, so that one block is decoded exactly, through the
+    decoder's own ``_reconstruct``.
     """
 
     def __init__(
@@ -141,16 +141,14 @@ class _ErrorModel:
         return float(np.abs(self.coefs).max()) if self.coefs.size else 0.0
 
     def snr(self, delta: float) -> float:
-        decoded = delta * quantize.quantize_levels(self.coefs, delta)
-        err = decoded - self.coefs
+        levels = quantize.quantize_levels(self.coefs, delta)
+        err = delta * levels - self.coefs
         energy = self.residual_energy
         for factors, rows in self.groups:
             e = factors @ err[rows]
             energy += float(np.vdot(e, e))
-        last = self.dico.synthesize(
-            AtomTable([self.last_indices.size], self.last_indices, decoded[self.last_row :])
-        )
-        miss = self.last_samples - last[0, : len(self.last_samples)]
+        last = AtomTable([self.last_indices.size], self.last_indices, levels[self.last_row :])
+        miss = self.last_samples - _reconstruct(self.dico, last, delta, len(self.last_samples))
         energy += float(np.vdot(miss, miss))
         return metrics.snr_from_energies(self.signal_energy, energy)
 
@@ -300,30 +298,32 @@ def cmd_encode(cfg: EncodeConfig, out=sys.stdout) -> metrics.QualityReport:
     return report
 
 
+def _reconstruct(dico: TrigDictionary, levels: AtomTable, delta: float,
+                 length: int) -> np.ndarray:
+    """The first ``length`` samples that ``delta`` times a table of levels
+    decodes to: the decoder's output and the delta search's last block."""
+    # read_tdc keeps delta times every level finite, but a sum of atoms
+    # can still overflow; such a file is refused, without numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = dico.synthesize(AtomTable(levels.counts, levels.indices,
+                                           delta * levels.values.astype(float)))
+    if not np.isfinite(blocks).all():
+        raise container.FormatError("decoded samples are not finite")
+    return blocks.reshape(-1, blocks.shape[-1])[:length]
+
+
 def _decode_samples(data: bytes):
     header, qset = container.read_tdc(data)
     dico = TrigDictionary(header.block_size, header.half_size)
     levels = quantize.parse_streams(qset)
-    # read_tdc keeps delta times every level finite, but a sum of atoms
-    # can still overflow; such a file is refused, without numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks = dico.synthesize(AtomTable(
-            levels.counts, levels.indices, header.delta * levels.values.astype(float)
-        ))
-    if not np.isfinite(blocks).all():
-        raise container.FormatError("decoded samples are not finite")
-    pad = header.block_count * header.block_size - header.original_length
-    parted = container.PartitionedSignal(blocks=blocks, pad_length=pad)
-    return header, container.assemble(parted)
+    return header, _reconstruct(dico, levels, header.delta, header.original_length)
 
 
 def cmd_decode(input_path: str, output_path: str) -> None:
     with open(input_path, "rb") as fh:
         data = fh.read()
     header, samples = _decode_samples(data)
-    container.write_wav(
-        output_path, MultichannelSignal(samples, header.sample_rate)
-    )
+    container.write_wav(output_path, MultichannelSignal(samples, header.sample_rate))
 
 
 def cmd_info(path: str, out=sys.stdout) -> container.TdcHeader:

@@ -120,7 +120,7 @@ class MultichannelSignal:
 
 @dataclass
 class PartitionedSignal:
-    blocks: list[np.ndarray]   # each (block_size, L), or one (Q, block_size, L)
+    blocks: list[np.ndarray]   # each (block_size, L)
     pad_length: int
 
     @property
@@ -331,10 +331,8 @@ def partition(signal: MultichannelSignal, block_size: int) -> PartitionedSignal:
 
 def assemble(parted: PartitionedSignal) -> np.ndarray:
     """Concatenate blocks and drop the final padding."""
-    blocks = np.asarray(parted.blocks)   # a stacked array is not copied
-    full = blocks.reshape(-1, blocks.shape[-1])
-    n = full.shape[0] - parted.pad_length
-    return full[:n]
+    full = np.concatenate(parted.blocks)
+    return full[: len(full) - parted.pad_length]
 
 
 # --- .tdc ------------------------------------------------------------------
@@ -410,6 +408,8 @@ def write_tdc(
         raise FormatError(
             f"index stream holds {len(index_stream) - q + 1} atoms, levels {k} rows"
         )
+    if (levels == np.iinfo(np.int64).min).any():   # np.abs leaves it negative
+        raise FormatError(f"level {np.iinfo(np.int64).min} has no int64 magnitude")
     mags = np.abs(levels)
     _check_scale(qset.delta, mags)
     try:

@@ -8,7 +8,8 @@ atom are computed with one zero-padded real FFT instead of an explicit
 atom matrix, which is what makes large-block pursuit affordable.
 Synthesis is the exact adjoint: coefficients go into a rotated
 half-spectrum, and one inverse real FFT per block and channel turns them
-into samples, for any number of blocks in one call.
+into samples, for any number of blocks in one call.  Both directions
+batch whole blocks, in the chunks ``TrigDictionary.fft_chunks`` sets.
 """
 
 from __future__ import annotations
@@ -108,6 +109,12 @@ class TrigDictionary:
         w2[-1] = v @ v
         return np.sqrt(w2)
 
+    def fft_chunks(self, blocks: int, channels: int) -> list[tuple[int, int]]:
+        """``(start, stop)`` of each run of whole blocks that one batched FFT call
+        takes: as many as ``FFT_CHUNK_BINS`` half-spectrum bins hold, at least one."""
+        step = max(1, FFT_CHUNK_BINS // (channels * (self.half_size + 1)))
+        return [(b, min(b + step, blocks)) for b in range(0, blocks, step)]
+
     @property
     def num_atoms(self) -> int:
         return 2 * self.half_size
@@ -172,8 +179,8 @@ class TrigDictionary:
         conjugate of the panel's rotation) and one length-``2M`` inverse
         real FFT per block and channel gives the samples, of which the first
         ``block_size`` are kept.  Bins 0 and ``M`` count twice because the
-        inverse FFT halves them.  Rows go through the FFT ``FFT_CHUNK_BINS``
-        bins at a time.
+        inverse FFT halves them, and atoms that share a bin add up in table
+        order.  Whole blocks go through the FFT in ``fft_chunks``.
         """
         m, nb = self.half_size, self.block_size
         idx, counts = table.indices, table.counts
@@ -182,35 +189,24 @@ class TrigDictionary:
             raise ValueError(f"atom index out of range 1..{2 * m}")
         coef = np.asarray(table.values, dtype=float)
 
-        # One complex spectrum entry per (atom, channel), already rotated and
-        # scaled, at bin n - 1 (cosine) or n - M (sine, times -i) of row
-        # block * L + channel.
+        # Each atom's spectrum entry per unit coefficient, already rotated
+        # and scaled, at bin n - 1 (cosine) or n - M (sine, times -i).
         is_cos = idx <= m
         bins = np.where(is_cos, idx - 1, idx - m)
         scale = m * np.conj(self._rot)
         scale[[0, m]] *= 2
         norms = np.concatenate([self.w_cos, self.w_sin])
         unit = np.where(is_cos, 1.0, -1j) * scale[bins] / norms[idx - 1]
-        row = np.repeat(np.arange(q) * channels, counts)[:, None] + np.arange(channels)
-        order = np.argsort(row, axis=None, kind="stable")
-        row = row.ravel()[order]
-        pos = (row * (m + 1) + np.repeat(bins, channels)[order]) * 2
-        pos = np.stack([pos, pos + 1], axis=1).ravel()    # (re, im) slots
-        value = (coef * unit[:, None]).ravel()[order].view(np.float64)
+        block = np.repeat(np.arange(q), counts)
+        starts = np.concatenate([[0], np.cumsum(counts)])
 
         out = np.empty((q, nb, channels))
-        rows_out = out.transpose(0, 2, 1)    # (Q, L, N_b) view
-        step = max(1, FFT_CHUNK_BINS // (m + 1))
-        for r0 in range(0, q * channels, step):
-            r1 = min(r0 + step, q * channels)
-            e0, e1 = 2 * np.searchsorted(row, [r0, r1])
-            spec = np.bincount(
-                pos[e0:e1] - 2 * r0 * (m + 1),
-                weights=value[e0:e1],
-                minlength=2 * (r1 - r0) * (m + 1),
-            ).view(np.complex128).reshape(r1 - r0, m + 1)
-            r = np.arange(r0, r1)
-            rows_out[r // channels, r % channels] = np.fft.irfft(spec, n=2 * m)[:, :nb]
+        for b0, b1 in self.fft_chunks(q, channels):
+            rows = slice(starts[b0], starts[b1])
+            spec = np.zeros((b1 - b0, channels, m + 1), dtype=complex)
+            np.add.at(spec, (block[rows, None] - b0, np.arange(channels), bins[rows, None]),
+                      coef[rows] * unit[rows, None])
+            out[b0:b1] = np.fft.irfft(spec, n=2 * m)[..., :nb].transpose(0, 2, 1)
         return out
 
 

@@ -76,7 +76,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dictionary import FFT_CHUNK_BINS, AtomTable, TrigDictionary
+from .dictionary import AtomTable, TrigDictionary
 from .metrics import SNR_CAP_DB, snr_from_energies
 
 __all__ = [
@@ -396,17 +396,15 @@ def worker_count(threads: int, block_count: int) -> int:
 def _init_states(blocks, dico, criterion):
     """Initial states of ``blocks``, in order, their panels from batched FFTs.
 
-    Blocks go in chunks of at most ``FFT_CHUNK_BINS`` half-spectrum bins;
-    each chunk's panels come from one ``all_inner_products`` call on the
-    stacked channels, and every state gets a column-major ``(2M, L)`` view
-    of its own.  A generator: the next chunk's panels are computed only
-    when its first state is asked for.
+    Blocks go in ``dico.fft_chunks``; each chunk's panels come from one
+    ``all_inner_products`` call on the stacked channels, and every state
+    gets a column-major ``(2M, L)`` view of its own.  A generator: the
+    next chunk's panels are computed only when its first state is asked for.
     """
     if not blocks:
         return
-    per_chunk = max(1, FFT_CHUNK_BINS // (blocks[0].shape[1] * (dico.half_size + 1)))
-    for i in range(0, len(blocks), per_chunk):
-        chunk = blocks[i : i + per_chunk]
+    for start, stop in dico.fft_chunks(len(blocks), blocks[0].shape[1]):
+        chunk = blocks[start:stop]
         panels = dico.all_inner_products(np.stack(chunk).transpose(0, 2, 1))
         for b, p in zip(chunk, panels):
             yield init_block_state(b, dico, criterion, res_ip=p.T)

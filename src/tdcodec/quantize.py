@@ -62,12 +62,19 @@ def quantize_levels(coef, delta: float) -> np.ndarray:
 
     This is the codec's one quantization rule: the container stores the
     magnitudes and signs of these levels, and the decoder reconstructs
-    ``delta * levels``.
+    ``delta * levels``.  A ``delta`` so small that a level would not fit
+    an int64 raises ``ValueError``.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
     coef = np.asarray(coef, dtype=float)
-    mags = np.floor(np.abs(coef) / delta + 0.5).astype(np.int64)
+    with np.errstate(over="ignore"):   # an infinite quotient is refused below
+        mags = np.floor(np.abs(coef) / delta + 0.5)
+    # -mags must fit an int64 too; this far up a float level is |c| / delta
+    if not mags.max(initial=0.0) < 2.0**63:
+        raise ValueError(f"delta {delta!r} is too small for int64 levels: the "
+                         f"largest |c| / delta is {mags.max():.6g}")
+    mags = mags.astype(np.int64)
     return np.where(coef < 0, -mags, mags)
 
 
@@ -79,8 +86,6 @@ def serialize_decompositions(table: AtomTable, delta: float) -> QuantizedBlockSe
     keeps its slot with level 0, so the shared index layout survives
     per-channel small values.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     counts = table.counts
     if not counts.size:
         raise ValueError("need at least one block")

@@ -1,6 +1,8 @@
 import csv
 import io
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from tdcodec import (
     write_wav,
 )
 from tdcodec.cli import (
+    DELTA_SEARCH_ITERS,
+    SNR_MATCH_TOL_DB,
     EncodeConfig,
     TargetUnreachableError,
     UsageError,
@@ -22,6 +26,7 @@ from tdcodec.cli import (
     cmd_decode,
     cmd_encode,
     cmd_info,
+    _tune_delta,
     main,
 )
 
@@ -236,6 +241,17 @@ def test_a_wav_with_sample_rate_zero_is_refused_before_encoding(tmp_path, wav_in
     assert not out.exists()
 
 
+def test_a_delta_too_small_for_int64_levels_exits_3(tmp_path, wav_in, capsys):
+    out = tmp_path / "o.tdc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["encode", "--in", str(wav_in), "--out", str(out), "--atoms", "50",
+                     "--delta", "1e-300", "--block", str(NB)])
+    assert code == 3
+    assert "delta 1e-300 is too small for int64 levels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_version_mismatch_flagged(tmp_path, wav_in, capsys):
     out = tmp_path / "o.tdc"
     encode(wav_in, tmp_path, budget=5, delta=0.1)
@@ -280,6 +296,39 @@ def test_decoded_snr_is_nonincreasing_in_delta(wav_in, tmp_path, rng):
     snrs = [model.snr(dlt) for dlt in deltas]
     assert np.all(np.diff(snrs) <= 2e-3)
     assert snrs[-1] < snrs[0] - 10.0
+
+
+class _ValleyModel:
+    """An error model whose decoded SNR falls, then rises again in delta:
+    its lowest point, ``floor_db`` above the target, is at delta 1e-3."""
+
+    def __init__(self, target, floor_db):
+        self.target, self.floor_db, self.deltas = target, floor_db, []
+
+    def max_coefficient(self):
+        return 1.0
+
+    def snr(self, delta):
+        self.deltas.append(delta)
+        return self.target + self.floor_db + 0.01 * math.log(delta / 1e-3) ** 2
+
+
+def test_delta_search_falls_back_to_golden_section():
+    # the SNR at the bracket's top is above the SNR at its bottom, so
+    # bisection is abandoned at once
+    model = _ValleyModel(30.0, floor_db=0.02)
+    delta, achieved = _tune_delta(model, 30.0)
+    assert len(model.deltas) > 2
+    assert achieved == model.snr(delta)
+    assert abs(achieved - 30.0) <= SNR_MATCH_TOL_DB
+    assert abs(math.log(delta / 1e-3)) < 1.0
+
+
+def test_delta_search_that_never_meets_the_target_stalls():
+    model = _ValleyModel(30.0, floor_db=1.0)
+    with pytest.raises(TargetUnreachableError, match="stalled at 31.000 dB"):
+        _tune_delta(model, 30.0)
+    assert len(model.deltas) == DELTA_SEARCH_ITERS
 
 
 def _check_reported_snr(tmp_path, samples, mode, block_size=NB):

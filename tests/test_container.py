@@ -1,3 +1,4 @@
+import math
 import struct
 import time
 import warnings
@@ -5,7 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tdcodec import (
@@ -28,7 +29,14 @@ from tdcodec import (
 )
 from tdcodec import entropy
 from tdcodec.cli import main
-from tdcodec.container import _CRC, _FIXED, _RECORD, VERSION
+from tdcodec.container import (
+    _CRC,
+    _FIXED,
+    _RECORD,
+    MAX_BLOCK_SIZE,
+    MAX_HALF_SIZE,
+    VERSION,
+)
 from tdcodec.quantize import QuantizedBlockSet
 
 from conftest import atom_table
@@ -690,6 +698,16 @@ def test_write_tdc_refuses_headers_that_read_tdc_refuses(monkeypatch, qset,
         read_tdc(blob)
 
 
+def test_write_tdc_refuses_a_level_of_minus_2_to_the_63():
+    # the one int64 level whose magnitude wraps negative in np.abs: it
+    # used to pass the scale check and fail in the entropy coder
+    qset = QuantizedBlockSet(delta=1.0, index_stream=np.array([1, 0, 2]),
+                             levels=np.array([[3, 0], [-(1 << 63), 1]]))
+    with pytest.raises(FormatError, match="level -9223372036854775808"):
+        write_tdc(qset, sample_rate=8000, original_length=9, block_size=8,
+                  half_size=8)
+
+
 @pytest.mark.parametrize(
     "qset, sample_rate, slot",
     [(_one_block([1]), 1 << 32, "4294967295"),
@@ -703,6 +721,73 @@ def test_write_tdc_refuses_a_field_wider_than_its_slot(qset, sample_rate, slot):
     with pytest.raises(FormatError, match=f"wider than its slot.*{slot}"):
         write_tdc(qset, sample_rate=sample_rate, original_length=1, block_size=8,
                   half_size=8)
+
+
+_EXTREME_LEVELS = [0, 1, -1, (1 << 63) - 1, -((1 << 63) - 1), -(1 << 63)]
+
+
+def _at_or_past(draw, at, past):
+    """One of the values ``at`` a limit, or now and then one ``past`` it."""
+    value = draw(st.sampled_from([*at, None]))
+    return draw(st.sampled_from(past)) if value is None else value
+
+
+@st.composite
+def _written_sets(draw):
+    """A quantized set and write_tdc's header fields, each at or past its limits."""
+    channels = draw(st.integers(1, 3))
+    block_size = _at_or_past(draw, [16, 2, MAX_BLOCK_SIZE], [1, MAX_BLOCK_SIZE + 1])
+    half_size = _at_or_past(draw, [2 * block_size, block_size, MAX_HALF_SIZE],
+                            [block_size - 1, MAX_HALF_SIZE + 1])
+    top = max(1, 2 * half_size)    # one past the dictionary when half_size is 0
+    blocks = draw(st.lists(
+        st.lists(st.integers(1, top), unique=True, max_size=3).map(sorted),
+        min_size=1, max_size=4,
+    ))
+    index_stream = []
+    for q, idx in enumerate(blocks):
+        index_stream += [0] * (q > 0) + list(np.diff(idx, prepend=0))
+    k, q = sum(map(len, blocks)), len(blocks)
+    levels = draw(st.lists(
+        st.sampled_from(_EXTREME_LEVELS) | st.integers(-1000, 1000),
+        min_size=k * channels, max_size=k * channels,
+    ))
+    delta = _at_or_past(draw, [0.125, 5e-324, 1e-310, 1.7976931348623157e308],
+                        [math.inf, math.nan, 0.0])
+    qset = QuantizedBlockSet(
+        delta=delta, index_stream=np.array(index_stream, dtype=np.int64),
+        levels=np.array(levels, dtype=np.int64).reshape(k, channels),
+    )
+    fields = dict(
+        sample_rate=_at_or_past(draw, [8000, 1, (1 << 32) - 1], [0, 1 << 32]),
+        original_length=_at_or_past(draw, [q * block_size, (q - 1) * block_size + 1],
+                                    [(q - 1) * block_size, q * block_size + 1, 1 << 64]),
+        block_size=block_size,
+        half_size=half_size,
+    )
+    return qset, fields
+
+
+@given(case=_written_sets())
+@example(case=(QuantizedBlockSet(delta=1.0, index_stream=np.array([2]),
+                                 levels=np.array([[-(1 << 63)]])),
+               dict(sample_rate=8000, original_length=16, block_size=16,
+                    half_size=32)))
+def test_write_tdc_refuses_or_read_tdc_returns_what_it_was_given(case):
+    qset, fields = case
+    try:
+        blob = write_tdc(qset, **fields)
+    except FormatError:
+        return
+    header, back = read_tdc(blob)
+    assert np.array_equal(back.index_stream, qset.index_stream)
+    assert back.levels.shape == qset.levels.shape
+    assert np.array_equal(back.levels, qset.levels)
+    assert back.delta == qset.delta
+    assert {name: getattr(header, name) for name in fields} == fields
+    assert (header.delta, header.channel_count, header.block_count,
+            header.total_atoms) == (qset.delta, qset.channel_count, qset.block_count,
+                                    qset.total_atoms)
 
 
 def _sign_byte_length_plus_one(blob: bytearray):

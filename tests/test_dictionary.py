@@ -233,13 +233,13 @@ def test_synthesis_matches_atom_matrix_synthesis(rng, nb, m, channels):
 
 
 def test_synthesis_does_not_depend_on_the_fft_chunk(rng, monkeypatch):
-    # one row (block and channel) per inverse FFT splits blocks across chunks
+    # one block per inverse FFT call puts every block in a chunk of its own
     d = TrigDictionary(16, 32)
     cases = [_synthesis_case(rng, d, k, 3) for k in (5, 0, 64, 1, 7)]
     whole = d.synthesize(atom_table(cases))
     monkeypatch.setattr(dictionary, "FFT_CHUNK_BINS", 1)
-    rows = d.synthesize(atom_table(cases))
-    assert np.array_equal(rows, whole)
+    by_block = d.synthesize(atom_table(cases))
+    assert np.array_equal(by_block, whole)
 
 
 def test_synthesis_adds_repeated_atoms_like_the_atom_matrix():

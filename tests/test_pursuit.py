@@ -22,7 +22,7 @@ from tdcodec import (
     snr,
     synthesize_block,
 )
-from tdcodec import pursuit
+from tdcodec import dictionary, pursuit
 from tdcodec.pursuit import BlockState
 
 from conftest import assert_state_invariants, random_blocks
@@ -325,7 +325,7 @@ def test_batched_initial_panels_match_one_block_states(rng, monkeypatch, workers
     # panels from chunked batch FFTs; every panel must equal, bit for bit,
     # the one a block computes on its own, so the first candidates and
     # gains (and every selection after them) match
-    monkeypatch.setattr(pursuit, "FFT_CHUNK_BINS", chunk_bins)
+    monkeypatch.setattr(dictionary, "FFT_CHUNK_BINS", chunk_bins)
     d = TrigDictionary(16, 32)
     blocks = random_blocks(rng, 9, 16, 3)
     blocks[4] = np.zeros((16, 3))    # silent

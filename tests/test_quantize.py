@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -42,6 +44,23 @@ def test_quantize_rejects_nonpositive_delta():
         quantize_levels(1.0, 0.0)
     with pytest.raises(ValueError):
         quantize_levels([1.0], -1.0)
+
+
+@pytest.mark.parametrize(
+    "coef, delta, top",
+    [([[0.3, -0.2]], 1e-300, "3e+299"), ([[1e300, 1.0]], 1e-300, "inf"),
+     ([2.0**63], 1.0, "9.22337e+18"), ([1.0, np.nan], 1.0, "nan")],
+    ids=["tiny_delta", "infinite_quotient", "level_2_to_the_63", "nan"],
+)
+def test_quantize_refuses_a_delta_too_small_for_int64_levels(coef, delta, top):
+    # the int64 cast used to wrap such a level to -2**63, with a warning
+    with pytest.raises(ValueError, match=rf"delta {delta!r} .* / delta is {re.escape(top)}$"):
+        quantize_levels(coef, delta)
+
+
+def test_quantize_keeps_the_largest_int64_levels():
+    top = 2.0**63 - 1024    # the largest float below 2**63
+    assert quantize_levels([top, -top], 1.0).tolist() == [2**63 - 1024, 1024 - 2**63]
 
 
 @given(

@@ -15,11 +15,11 @@ The pursuit returns one of coefficients (``PursuitResult.atoms``),
 ``TrigDictionary.synthesize`` takes one; iterating a table yields each
 block's ``(indices, values)``.
 
-The pursuit's block-level steps (``BlockState``, ``init_block_state``,
-``select_candidate``, ``accept_candidate``, ``rank_blocks``,
-``compute_coefficients``), ``synthesize_block`` and the entropy coder
-(``SymbolStream``, ``arith_encode``, ``arith_decode``) stay importable
-from here and from their modules, but are not part of ``__all__``.
+The package's names are ``__all__``, its submodules and ``__version__``.
+The pursuit's block-level steps (``init_block_state``, ``accept_candidate``
+and the rest), ``synthesize_block`` and the entropy coder are imported from
+their modules: ``tdcodec.pursuit``, ``tdcodec.dictionary`` and
+``tdcodec.entropy``.
 """
 
 from .container import (
@@ -38,21 +38,10 @@ from .container import (
     write_tdc,
     write_wav,
 )
-from .dictionary import AtomTable, TrigDictionary, synthesize_block
-from .entropy import EntropyDecodeError, SymbolStream, arith_decode, arith_encode
+from .dictionary import AtomTable, TrigDictionary
+from .entropy import EntropyDecodeError
 from .metrics import SNR_CAP_DB, QualityReport, rate_report, snr
-from .pursuit import (
-    BlockState,
-    PursuitResult,
-    SelectionCriterion,
-    accept_candidate,
-    compute_coefficients,
-    hbw_pursuit,
-    init_block_state,
-    pursuit_to_snr,
-    rank_blocks,
-    select_candidate,
-)
+from .pursuit import PursuitResult, SelectionCriterion, hbw_pursuit, pursuit_to_snr
 from .quantize import (
     QuantizedBlockSet,
     StreamError,

@@ -156,9 +156,12 @@ class _ErrorModel:
 def _tune_delta(model: _ErrorModel, target: float):
     """Bisection on log delta for a decoded SNR within the match tolerance.
 
-    Decoded SNR is nonincreasing in delta, so the bracket endpoints keep
-    the target between them; if quantization granularity ever breaks that
-    ordering the search falls back to golden-section over the bracket.
+    The bracket's bottom starts at ``1e-6``; while the SNR there misses
+    the target, it drops tenfold, as long as the levels still fit an
+    int64.  Decoded SNR is nonincreasing in delta, so the bracket
+    endpoints keep the target between them; if quantization granularity
+    ever breaks that ordering the search falls back to golden-section
+    over the bracket.
     Among tolerable deltas, one that keeps SNR at or above the target is
     preferred.
     """
@@ -185,6 +188,10 @@ def _tune_delta(model: _ErrorModel, target: float):
 
     snr_lo = measure(lo)
     snr_hi = measure(hi)
+    # quantize_levels refuses a level of 2**63: stop a margin of 2 short of it
+    while snr_lo < target - SNR_MATCH_TOL_DB and 10 * max_c / lo < 2.0**62:
+        lo /= 10
+        snr_lo = measure(lo)
     if snr_lo < target - SNR_MATCH_TOL_DB:
         raise TargetUnreachableError(
             f"quantization floor {snr_lo:.2f} dB below target {target:.2f} dB"

@@ -370,8 +370,9 @@ def _check_header(channels: int, sample_rate: int, length: int, block_size: int,
         )
     if not (delta > 0 and np.isfinite(delta)):
         raise FormatError(f"delta {delta!r} is not a positive finite float")
-    # a block holds at most min(N_b, 2M) independent atoms
-    if k > q * min(block_size, 2 * half_size):
+    # a block holds at most min(N_b, 2M) independent atoms, which is N_b:
+    # the geometry check above refuses half_size < block_size
+    if k > q * block_size:
         raise FormatError(f"total_atoms {k} exceeds what {q} blocks can hold")
     # An index gap is at most 2M (the top atom after separator 0).
     if index_bound > 2 * half_size + 1:

@@ -37,16 +37,17 @@ block.  When it needs a pick past a block's log it asks for more, and
 where that comes from is all that differs between its uses:
 
 * In process, every block is live and takes its next step.
-* Memory.  At most ``LIVE_BLOCKS`` blocks hold panels at once.  With more
-  blocks, a pilot of every ``s``-th block is merged first under the stop
-  scaled to it; half the gain of its last pick is a threshold ``tau``.
-  Every block then runs alone while its head gain is at least ``tau``,
-  one chunk at a time, and keeps only a compact record: its atoms,
-  factor, ``wf`` rows, pick log and next head gain.  A merge of the
-  records replays the serial order under the real stop; past a closed
-  block's log, it lowers ``tau`` and runs those blocks again from the
-  start, which repeats their logs exactly.  Picks made past the stop are
-  the price: about 1% on sparse input, about a third on dense.
+* Memory.  At most ``LIVE_BLOCKS`` blocks hold panels at once.  A pilot
+  of every ``s``-th block (every block when there are no more) is merged
+  first under the stop scaled to it; with more blocks, half the gain of
+  its last pick is a threshold ``tau``.  Every block then runs alone
+  while its head gain is at least ``tau``, one chunk at a time, and
+  keeps only a compact record: its atoms, factor, ``wf`` rows, pick log
+  and next head gain.  At every stride, a final merge of the records
+  replays the serial order under the real stop; past a closed block's
+  log, it lowers ``tau`` and runs those blocks again from the start,
+  which repeats their logs exactly.  Picks made past the stop are the
+  price: about 1% on sparse input, about a third on dense.
 * Processes.  With ``threads > 1`` the pilot's blocks are dealt
   round-robin to forked worker processes (block ``q`` to worker
   ``q mod P``, ``P`` from ``worker_count``), and so are the others' runs
@@ -67,11 +68,10 @@ from __future__ import annotations
 
 import contextlib
 import heapq
-import itertools
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -178,11 +178,6 @@ def _buffers(size: int):
     return bufs
 
 
-def _max_atoms(dico: TrigDictionary) -> int:
-    """Rank of the dictionary: no block can hold more independent atoms."""
-    return min(dico.block_size, dico.num_atoms)
-
-
 def _check_block(block, dico: TrigDictionary) -> np.ndarray:
     block = np.asarray(block, dtype=float)
     if block.ndim == 1:
@@ -241,7 +236,8 @@ def select_candidate(state: BlockState, dico: TrigDictionary) -> None:
     """
     if state.saturated:
         return
-    if len(state.selected) >= _max_atoms(dico):
+    # the rank min(N_b, 2M) is N_b: TrigDictionary refuses half_size < block_size
+    if len(state.selected) >= dico.block_size:
         _saturate(state)
         return
     criterion = state.criterion
@@ -290,7 +286,7 @@ def rank_blocks(gains) -> int | None:
 def _grow(state: BlockState, dico: TrigDictionary) -> None:
     """Double the capacity of ``w``, ``r`` and ``wf``, up to the dictionary's rank."""
     k = len(state.selected)
-    cap = min(max(INITIAL_CAPACITY, 2 * k), _max_atoms(dico))
+    cap = min(max(INITIAL_CAPACITY, 2 * k), dico.block_size)
     w = np.empty((cap, dico.block_size))
     w[:k] = state.w[:k]
     r = np.zeros((cap, cap))
@@ -500,14 +496,18 @@ class _Merge:
         heapq.heapify(self.heap)
 
     def run(self, stop) -> bool:
-        """Merge picks until ``stop(q, energy)`` is true; True if the blocks saturated first.
+        """Merge picks until ``stop.done``; True if the blocks saturated first.
 
-        ``stop`` is asked after each accepted atom, with block ``q``'s
-        residual energy after it.  The heap is up to date by then, so the
-        next ``run`` goes on from the next pick.
+        ``stop.done`` is asked before the first pick and after each
+        accepted atom, which ``stop.add(q, energy)`` records with block
+        ``q``'s residual energy after it.  A stop that is done at once
+        gets no pick.  The heap is up to date whenever ``done`` is asked,
+        so the next ``run`` goes on from the next pick.
         """
         records, taken, counts, heap = self.records, self.taken, self.counts, self.heap
-        while heap:
+        while not stop.done:
+            if not heap:
+                return True
             gain, q = heap[0]
             rec = records[q]
             i = taken[q]
@@ -523,43 +523,31 @@ class _Merge:
                 heapq.heapreplace(heap, (-head, q))
             if rec.accepted[i]:
                 counts[q] += 1
-                if stop(q, rec.energies[counts[q]]):
-                    return False
-        return True
+                stop.add(q, rec.energies[counts[q]])
+        return False
 
 
-def _finish(state, k: int, energy: float):
+def _finish(record: _Record, k: int):
     """``(indices, coefficients, factor, residual energy)`` of the block's first ``k`` atoms.
 
-    ``state`` is a block's state or its closed record.
+    ``record`` is closed, so its ``r`` is already a copy of its own.
     """
-    indices = np.asarray(state.selected[:k], dtype=np.int64)
-    return indices, compute_coefficients(state, k), state.r[:k, :k].copy(), energy
-
-
-def _unpursued(block: np.ndarray):
-    """The ``_finish`` tuple of a block that gets no atoms."""
-    return (np.empty(0, dtype=np.int64), np.zeros((0, block.shape[1])), np.zeros((0, 0)),
-            float(np.sum(np.square(block))))
-
-
-def _result(parts, saturated: bool, **report) -> PursuitResult:
-    indices, coefs, factors, energies = zip(*parts)
-    atoms = AtomTable([i.size for i in indices], np.concatenate(indices),
-                      np.concatenate(coefs))
-    return PursuitResult(atoms, atoms.indices.size, saturated, list(factors),
-                         np.array(energies), **report)
+    indices = np.asarray(record.selected[:k], dtype=np.int64)
+    return indices, compute_coefficients(record, k), record.r[:k, :k], record.energies[k]
 
 
 class _Budget:
-    """Stop rule: the ``budget``-th accepted atom ends the pursuit."""
+    """Stop rule: done once ``budget`` atoms are accepted, at once for a budget of 0."""
 
     def __init__(self, budget: int):
         self.left = budget
 
-    def __call__(self, q: int, energy: float) -> bool:
-        self.left -= 1
+    @property
+    def done(self) -> bool:
         return self.left <= 0
+
+    def add(self, q: int, energy: float) -> None:
+        self.left -= 1
 
     def pilot(self, stride: int, count: int) -> _Budget:
         """The budget's share of blocks ``0, stride, ...`` of ``count``, rounded up."""
@@ -567,23 +555,30 @@ class _Budget:
 
 
 class _SnrTarget:
-    """Stop rule: the first atom whose running SNR reaches ``target`` ends it.
+    """Stop rule: done once the running SNR reaches ``target``.
 
-    ``energy`` is block ``q``'s residual energy after its new atom; the
-    running SNR sums the per-block energies, so it matches a from-scratch
-    residual computation to numerical accuracy.  ``trace`` keeps it.
+    No atoms leave the residual equal to the signal, at 0 dB, so a target
+    at or below 0 dB is done at once.  ``add`` takes block ``q``'s
+    residual energy after its new atom; the running SNR sums the
+    per-block energies, so it matches a from-scratch residual computation
+    to numerical accuracy.  ``trace`` keeps it.
     """
 
     def __init__(self, energies: np.ndarray, target: float):
         self.residual = energies.copy()
         self.signal = float(energies.sum())
         self.target = target
+        self.snr = 0.0
         self.trace: list[float] = []
 
-    def __call__(self, q: int, energy: float) -> bool:
+    @property
+    def done(self) -> bool:
+        return self.snr >= self.target
+
+    def add(self, q: int, energy: float) -> None:
         self.residual[q] = energy
-        self.trace.append(snr_from_energies(self.signal, float(self.residual.sum())))
-        return self.trace[-1] >= self.target
+        self.snr = snr_from_energies(self.signal, float(self.residual.sum()))
+        self.trace.append(self.snr)
 
     def pilot(self, stride: int, count: int) -> _SnrTarget:
         """The same target on blocks ``0, stride, ...`` alone."""
@@ -616,9 +611,9 @@ def _threshold(last_gain: float, rest) -> float:
 def _pursue_in_process(pilot, rest, dico, criterion, stop):
     records = [_Record(st) for st in _init_states(pilot, dico, criterion)]
     merge = _Merge(records, lambda q: records[q].step(dico))
-    saturated = merge.run(stop)
+    merge.run(stop)
     tau = _threshold(merge.last_gain, rest)
-    return saturated, merge.counts, tau, _run_ahead(records, rest, dico, criterion, tau)
+    return tau, _run_ahead(records, rest, dico, criterion, tau)
 
 
 def _shard_worker(index, pipes, shard, rest, dico, criterion):
@@ -647,11 +642,10 @@ def _shard_worker(index, pipes, shard, rest, dico, criterion):
             picked.add(q)
 
         merge = _Merge(records, step)
-        accepted = itertools.count(1)
         credit, message = 2, True   # rounds to make before the merge asks again
         while message is True:
             if credit and not conn.poll():
-                merge.run(lambda q, energy: next(accepted) % ROUND == 0)
+                merge.run(_Budget(ROUND))
                 conn.send(("logs", [(i, records[i].news()) for i in picked]))
                 picked.clear()
                 credit -= 1
@@ -719,7 +713,7 @@ def _pursue_in_workers(pilot, rest, dico, criterion, stop, workers):
         for w in range(workers):
             extend(w)
         merge = _Merge(logs, extend)
-        saturated = merge.run(stop)
+        merge.run(stop)
         tau = _threshold(merge.last_gain, rest)
         for conn in conns:
             _send(conn, tau)
@@ -730,7 +724,7 @@ def _pursue_in_workers(pilot, rest, dico, criterion, stop, workers):
             shard = len(range(w, len(pilot), workers))
             records[w : len(pilot) : workers] = message[1][:shard]
             records[len(pilot) + w :: workers] = message[1][shard:]
-        return saturated, merge.counts, tau, records
+        return tau, records
     finally:
         for proc in procs:
             proc.terminate()   # once it has sent its records, or failed, a worker is done
@@ -740,47 +734,59 @@ def _pursue_in_workers(pilot, rest, dico, criterion, stop, workers):
                 end.close()
 
 
-def _pursue_blocks(blocks, dico, criterion, stop, threads):
-    """``(saturated, per-block _finish tuples)`` of the pursuit under ``stop``.
+def _pursue_blocks(blocks, dico, criterion, stop, threads) -> PursuitResult:
+    """The pursuit of ``blocks`` under ``stop``.
+
+    ``stop`` is a stop rule: ``stop.done`` is asked before the first pick
+    and after each accepted atom, and ``stop.add(q, energy)`` records each
+    accepted atom with block ``q``'s residual energy after it;
+    ``stop.pilot(s, Q)`` is the same rule scaled to blocks ``0, s, 2s, ...``
+    of ``Q``.
 
     At most ``LIVE_BLOCKS`` blocks keep their panels alive at once.  The
     pilot, blocks ``0, s, 2s, ...`` with ``s = ceil(Q / LIVE_BLOCKS)``,
-    is merged live under the stop scaled to it; at ``s = 1`` that is the
-    whole pursuit.  Otherwise the gain of the pilot's last pick
-    sets ``tau`` at half of it; every block is pursued alone while its head
-    gain is at least ``tau`` (the pilot's from where they stand, the others
-    a chunk at a time), and keeps only a ``_Record``.  A ``_Merge`` of the
-    records then replays the serial order under the real stop.  If it
-    needs a pick past a block's log, ``tau`` drops to at most half and to
-    that gain, and every unsaturated block whose head reaches the new
-    ``tau`` is run again from the start, which repeats its log exactly.
+    is merged live under the stop scaled to it.  If it leaves blocks out,
+    the gain of its last pick sets ``tau`` at half of it; every block is
+    pursued alone while its head gain is at least ``tau`` (the pilot's
+    from where they stand, the others a chunk at a time), and keeps only
+    a ``_Record``.  A final ``_Merge`` of the records, the one source of
+    the atom counts, the saturation flag and the stop's SNR trace, then
+    replays the serial order under ``stop``.  If it needs a pick past a
+    block's log, ``tau`` drops to at most half and to that gain, and
+    every unsaturated block whose head reaches the new ``tau`` is run
+    again from the start, which repeats its log exactly.
     """
+    if not blocks:   # a table of no blocks would have no channel count
+        raise ValueError("need at least one block")
     count = len(blocks)
     stride = max(1, -(-count // LIVE_BLOCKS))
     pilot = blocks[::stride]
     rest = [b for q, b in enumerate(blocks) if q % stride]
     workers = worker_count(threads, len(pilot))
-    pilot_stop = stop if stride == 1 else stop.pilot(stride, count)
+    pilot_stop = stop.pilot(stride, count)
     if workers == 1:
-        run = _pursue_in_process(pilot, rest, dico, criterion, pilot_stop)
+        tau, records = _pursue_in_process(pilot, rest, dico, criterion, pilot_stop)
     else:
-        run = _pursue_in_workers(pilot, rest, dico, criterion, pilot_stop, workers)
-    saturated, counts, tau, records = run
+        tau, records = _pursue_in_workers(pilot, rest, dico, criterion, pilot_stop, workers)
     order = list(range(0, count, stride)) + [q for q in range(count) if q % stride]
     records = [records[i] for i in np.argsort(order, kind="stable")]
-    if stride > 1:
 
-        def extend(q):
-            nonlocal tau
-            tau = min(tau / 2, records[q].head)
-            again = [q for q, rec in enumerate(records) if rec.head >= tau]
-            fresh = _run_ahead([], [blocks[q] for q in again], dico, criterion, tau)
-            for q, rec in zip(again, fresh):
-                records[q] = rec
+    def extend(q):
+        nonlocal tau
+        tau = min(tau / 2, records[q].head)
+        again = [q for q, rec in enumerate(records) if rec.head >= tau]
+        fresh = _run_ahead([], [blocks[q] for q in again], dico, criterion, tau)
+        for q, rec in zip(again, fresh):
+            records[q] = rec
 
-        merge = _Merge(records, extend)
-        saturated, counts = merge.run(stop), merge.counts
-    return saturated, [_finish(rec, k, rec.energies[k]) for rec, k in zip(records, counts)]
+    merge = _Merge(records, extend)
+    saturated = merge.run(stop)
+    indices, coefs, factors, energies = zip(
+        *(_finish(rec, k) for rec, k in zip(records, merge.counts)))
+    atoms = AtomTable([i.size for i in indices], np.concatenate(indices),
+                      np.concatenate(coefs))
+    return PursuitResult(atoms, atoms.indices.size, saturated, list(factors),
+                         np.array(energies))
 
 
 def hbw_pursuit(
@@ -801,12 +807,7 @@ def hbw_pursuit(
     if budget < 0:
         raise ValueError("budget must be >= 0")
     blocks = [_check_block(b, dico) for b in blocks]
-    if not blocks:   # a table of no blocks would have no channel count
-        raise ValueError("need at least one block")
-    if budget == 0:
-        return _result([_unpursued(b) for b in blocks], saturated=False)
-    saturated, parts = _pursue_blocks(blocks, dico, criterion, _Budget(budget), threads)
-    return _result(parts, saturated)
+    return _pursue_blocks(blocks, dico, criterion, _Budget(budget), threads)
 
 
 def pursuit_to_snr(
@@ -832,15 +833,6 @@ def pursuit_to_snr(
         raise ValueError("zero signal has no SNR")
     # SNR reports cap at the lossless-at-tolerance sentinel, so a target
     # beyond the cap means "run until the residual hits the noise floor".
-    effective_target = min(target_snr_db, SNR_CAP_DB)
-    if effective_target <= 0.0:   # zero atoms leave the residual equal to the signal
-        parts = [_unpursued(b) for b in blocks]
-        return _result(parts, saturated=False, snr_db=0.0, snr_trace=np.empty(0))
-    stop = _SnrTarget(energies, effective_target)
-    saturated, parts = _pursue_blocks(blocks, dico, criterion, stop, threads)
-    return _result(
-        parts,
-        saturated,
-        snr_db=stop.trace[-1] if stop.trace else 0.0,
-        snr_trace=np.asarray(stop.trace),
-    )
+    stop = _SnrTarget(energies, min(target_snr_db, SNR_CAP_DB))
+    result = _pursue_blocks(blocks, dico, criterion, stop, threads)
+    return replace(result, snr_db=stop.snr, snr_trace=np.asarray(stop.trace))

@@ -15,9 +15,6 @@ from tdcodec import (
     SelectionCriterion,
     TrigDictionary,
     hbw_pursuit,
-    init_block_state,
-    accept_candidate,
-    rank_blocks,
     parse_streams,
     pursuit_to_snr,
     read_tdc,
@@ -28,6 +25,7 @@ from tdcodec import (
     write_wav,
 )
 from tdcodec.cli import EncodeConfig, cmd_compare, cmd_decode, cmd_encode
+from tdcodec.pursuit import accept_candidate, init_block_state, rank_blocks
 
 from conftest import assert_state_invariants, atom_table
 from oracles import brute_force_hbw

@@ -152,6 +152,24 @@ def test_target_above_quantization_cap_is_unreachable(wav_in, tmp_path):
         encode(wav_in, tmp_path, target_snr_db=250.0)
 
 
+def test_a_target_above_the_snr_at_delta_1e_6_is_reached_below_it(tmp_path):
+    # a lone impulse is dense in the dictionary: its coefficients are small,
+    # so at delta 1e-6 the decoded SNR is 99.88 dB, and the search must look
+    # below that delta for 120 dB, which the pursuit reaches
+    from tdcodec.cli import _decode_samples
+
+    samples = np.zeros((44100, 1))
+    samples[20000, 0] = 0.9
+    path, out = tmp_path / "impulse.wav", tmp_path / "impulse.tdc"
+    write_wav(path, MultichannelSignal(samples, 44100))
+    assert main(["encode", "--in", str(path), "--out", str(out), "--snr", "120"]) == 0
+    header, decoded = _decode_samples(out.read_bytes())
+    assert header.delta < 1e-6
+    ref = read_wav(path).samples
+    exact = 10 * np.log10(np.sum(ref**2) / np.sum((ref - decoded) ** 2))
+    assert abs(exact - 120.0) <= SNR_MATCH_TOL_DB
+
+
 def test_info_reports_header_fields(wav_in, tmp_path):
     out, _ = encode(wav_in, tmp_path, budget=30, delta=0.02)
     buf = io.StringIO()

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from tdcodec import AtomTable, TrigDictionary, synthesize_block
+from tdcodec import AtomTable, TrigDictionary
 from tdcodec import dictionary
+from tdcodec.dictionary import synthesize_block
 
 from conftest import atom_table
 from oracles import (

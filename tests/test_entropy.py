@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcodec import EntropyDecodeError, SymbolStream, arith_decode, arith_encode
+from tdcodec import EntropyDecodeError
 from tdcodec import entropy
+from tdcodec.entropy import SymbolStream, arith_decode, arith_encode
 
 import oracles
 

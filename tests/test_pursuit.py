@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import signal
 import subprocess
@@ -9,21 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdcodec import (
-    SelectionCriterion,
-    TrigDictionary,
+from tdcodec import SelectionCriterion, TrigDictionary, hbw_pursuit, pursuit_to_snr, snr
+from tdcodec import dictionary, pursuit
+from tdcodec.dictionary import synthesize_block
+from tdcodec.pursuit import (
+    BlockState,
     accept_candidate,
     compute_coefficients,
-    hbw_pursuit,
     init_block_state,
-    pursuit_to_snr,
     rank_blocks,
     select_candidate,
-    snr,
-    synthesize_block,
 )
-from tdcodec import dictionary, pursuit
-from tdcodec.pursuit import BlockState
 
 from conftest import assert_state_invariants, random_blocks
 from oracles import bior, brute_force_hbw, lstsq_fit, ortho
@@ -230,13 +227,38 @@ def test_a_pursuit_of_no_blocks_is_refused():
         pursuit_to_snr([], d, 20.0)
 
 
-def test_zero_budget_returns_empty_decompositions(rng):
+def _assert_no_atoms(res, blocks):
+    """``res`` holds no atom, unsaturated, and each block's energy as its residual's."""
+    channels = blocks[0].shape[1]
+    assert res.atom_count == 0
+    assert not res.saturated
+    assert res.atoms.counts.tolist() == [0] * len(blocks)
+    assert res.atoms.indices.shape == (0,)
+    assert res.atoms.values.shape == (0, channels)
+    assert [r.shape for r in res.factors] == [(0, 0)] * len(blocks)
+    # summed over the channel-major residual, so within an ulp of the blocks'
+    np.testing.assert_allclose(res.residual_energies,
+                               [np.sum(np.square(b)) for b in blocks], rtol=1e-15, atol=0)
+
+
+# every path a pursuit can take: in process or in two workers, with every
+# block live or with a pilot (``LIVE_BLOCKS`` capped, as in
+# ``test_a_capped_pursuit_equals_the_all_live_one``)
+_PATHS = pytest.mark.parametrize("threads, capped",
+                                 [(1, False), (2, False), (1, True), (2, True)])
+
+
+@_PATHS
+def test_zero_budget_returns_empty_decompositions(rng, monkeypatch, threads, capped):
     d = TrigDictionary(8, 16)
     blocks = random_blocks(rng, 3, 8, 2)
-    res = hbw_pursuit(blocks, d, 0)
-    assert res.atom_count == 0
-    assert res.atoms.counts.tolist() == [0, 0, 0]
-    assert res.atoms.values.shape == (0, 2)
+    _one_worker_per_thread(monkeypatch)
+    if capped:
+        monkeypatch.setattr(pursuit, "LIVE_BLOCKS", CAPPED)
+    with _deadline(60):
+        res = hbw_pursuit(blocks, d, 0, threads=threads)
+    _assert_no_atoms(res, blocks)
+    assert res.snr_db is None and res.snr_trace is None
 
 
 def test_distinct_single_atoms_resolve_exactly(rng):
@@ -563,19 +585,14 @@ def test_a_merge_run_in_rounds_equals_one_uninterrupted_run(rng, criterion):
         return records, pursuit._Merge(records, lambda q: records[q].step(d))
 
     whole_records, whole = live_merge()
-    assert whole.run(lambda q, energy: False)
+    assert whole.run(pursuit._Budget(math.inf))
     records, merge = live_merge()
-    accepted = []
-
-    def every_third(q, energy):
-        accepted.append(q)
-        return len(accepted) % 3 == 0
-
     rounds = 1
-    while not merge.run(every_third):
+    while not merge.run(pursuit._Budget(3)):   # a worker's rounds, of 3 atoms
         rounds += 1
-    assert len(accepted) == sum(whole.counts)
-    assert rounds == len(accepted) // 3 + 1 > 3
+    accepted = sum(merge.counts)
+    assert accepted == sum(whole.counts)
+    assert rounds == accepted // 3 + 1 > 3
     for got, want in zip(records, whole_records):
         assert (got.gains, got.accepted, got.energies) == (
             want.gains, want.accepted, want.energies)
@@ -604,13 +621,20 @@ def test_result_carries_each_blocks_factor_and_residual_energy(rng, mode):
         assert energy == pytest.approx(np.sum(residual**2), rel=1e-12, abs=1e-14)
 
 
-def test_snr_target_zero_returns_no_atoms(rng):
+@pytest.mark.parametrize("target", [0.0, -10.0])
+@_PATHS
+def test_snr_target_zero_returns_no_atoms(rng, monkeypatch, threads, capped, target):
+    # no atoms leave the residual equal to the signal, at 0 dB
     d = TrigDictionary(8, 16)
-    blocks = random_blocks(rng, 2, 8, 2)
-    res = pursuit_to_snr(blocks, d, 0.0)
-    assert res.atom_count == 0
-    assert not res.saturated
+    blocks = random_blocks(rng, 3, 8, 2)
+    _one_worker_per_thread(monkeypatch)
+    if capped:
+        monkeypatch.setattr(pursuit, "LIVE_BLOCKS", CAPPED)
+    with _deadline(60):
+        res = pursuit_to_snr(blocks, d, target, threads=threads)
+    _assert_no_atoms(res, blocks)
     assert res.snr_db == 0.0
+    assert res.snr_trace.shape == (0,)
 
 
 def test_exactly_sparse_signal_reaches_noise_floor(rng):
@@ -784,9 +808,9 @@ def _noting_run_ahead(real, ahead):
     block was pursued past its first ``k``; it is called once per block, in
     block order, so ``ahead[q]`` is block ``q``'s."""
 
-    def finish(state, k, energy):
-        ahead.append(len(state.selected) - k)
-        return real(state, k, energy)
+    def finish(record, k):
+        ahead.append(len(record.selected) - k)
+        return real(record, k)
 
     return finish
 
@@ -934,10 +958,13 @@ def test_a_capped_pursuit_equals_the_all_live_one(rng, monkeypatch, case, mode):
     pilots = []
     real_in_process = pursuit._pursue_in_process
 
-    def in_process(pilot, *args):
-        run = real_in_process(pilot, *args)
-        pilots.append((len(pilot), run[0]))   # (pilot blocks, pilot saturated)
-        return run
+    def in_process(pilot, rest, dico, criterion, stop):
+        tau, records = real_in_process(pilot, rest, dico, criterion, stop)
+        assert len(records) == len(pilot) + len(rest)
+        assert all(rec.state is None for rec in records)   # closed, for the final merge
+        # the pilot saturated if its merge ended before its stop was done
+        pilots.append((len(pilot), not stop.done))   # (pilot blocks, pilot saturated)
+        return tau, records
 
     monkeypatch.setattr(pursuit, "_pursue_in_process", in_process)
     extensions = []
@@ -1010,22 +1037,22 @@ def test_truncating_a_block_that_ran_ahead_equals_stopping_it_there(rng):
     block = rng.normal(size=(16, 3))
 
     def run(atoms):
-        state = init_block_state(block, d, OOMP)
-        energies = [pursuit._energy(state)]
-        while state.atom_count < atoms:
-            if accept_candidate(state, d):
-                energies.append(pursuit._energy(state))
-        return state, energies
+        """The block's closed record after ``atoms`` atoms, and its residual energy."""
+        record = pursuit._Record(init_block_state(block, d, OOMP))
+        while record.state.atom_count < atoms:
+            record.step(d)
+        energy = pursuit._energy(record.state)
+        return record.close(), energy
 
-    ahead, energies = run(12)
+    ahead, _ = run(12)
     for k in (0, 1, 7, 12):
-        exact, exact_energies = run(k)
-        got = pursuit._finish(ahead, k, energies[k])
-        want = pursuit._finish(exact, k, exact_energies[k])
+        exact, exact_energy = run(k)
+        got = pursuit._finish(ahead, k)
+        want = pursuit._finish(exact, k)
         assert np.array_equal(got[0], want[0])
         assert got[1].tobytes() == want[1].tobytes()
         assert np.array_equal(got[2], want[2])
-        assert got[3] == want[3] == pursuit._energy(exact)
+        assert got[3] == want[3] == exact_energy
 
 
 def _failing_accept(how):

@@ -236,7 +236,8 @@ def test_parse_matches_the_symbol_loop_around_empty_blocks():
 
 
 def test_quantization_distortion_obeys_gram_bound(rng):
-    from tdcodec import TrigDictionary, synthesize_block
+    from tdcodec import TrigDictionary
+    from tdcodec.dictionary import synthesize_block
 
     d = TrigDictionary(16, 32)
     indices = [2, 9, 33, 40]

@@ -236,7 +236,7 @@ def _assert_no_atoms(res, blocks):
     assert res.atoms.indices.shape == (0,)
     assert res.atoms.values.shape == (0, channels)
     assert [r.shape for r in res.factors] == [(0, 0)] * len(blocks)
-    # summed over the channel-major residual, so within an ulp of the blocks'
+    # summed over the channel-major residual, so equal to the blocks' to a few ulps
     np.testing.assert_allclose(res.residual_energies,
                                [np.sum(np.square(b)) for b in blocks], rtol=1e-15, atol=0)
 

@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 usage error, 3 I/O or format error, 4 target
 SNR unreachable.
 
 ``encode`` supports two termination modes.  With ``--snr`` the pursuit
-runs until it overshoots the target by ``--overshoot`` dB, then the
+runs until it overshoots the target by ``OVERSHOOT_DB`` (3 dB), then the
 quantization step is tuned by bisection on ``log delta`` until the
 decoded SNR matches the target within 0.05 dB.  With ``--atoms`` the
 pursuit spends a fixed atom budget and ``--delta`` (default ``1e-8``,
@@ -51,6 +51,8 @@ __all__ = [
 SNR_MATCH_TOL_DB = 0.05
 DELTA_SEARCH_ITERS = 40
 DEFAULT_BUDGET_DELTA = 1e-8
+# the pursuit's margin over an --snr target, which leaves room for quantization
+OVERSHOOT_DB = 3.0
 
 class UsageError(Exception):
     pass
@@ -76,7 +78,6 @@ class EncodeConfig:
     redundancy: int = 4
     criterion: SelectionCriterion = SelectionCriterion.OOMPML
     target_snr_db: float | None = None
-    overshoot_db: float = 3.0
     delta: float | None = None
     budget: int | None = None
     threads: int = 1
@@ -161,31 +162,26 @@ def _tune_delta(model: _ErrorModel, target: float):
     int64.  Decoded SNR is nonincreasing in delta, so the bracket
     endpoints keep the target between them; if quantization granularity
     ever breaks that ordering the search falls back to golden-section
-    over the bracket.
-    Among tolerable deltas, one that keeps SNR at or above the target is
-    preferred.
+    over the bracket.  Either search stops once a tried delta keeps SNR
+    at most a quarter of the tolerance above the target, or after
+    ``DELTA_SEARCH_ITERS`` evaluations.  Among tolerable deltas, one
+    that keeps SNR at or above the target is preferred.
     """
     max_c = model.max_coefficient()
     if max_c == 0.0:
         return 1.0, model.snr(1.0)
-    lo = 1e-6
-    hi = max(max_c, 2 * lo)
-    evals = 0
-    best_above = None   # (delta, snr) with snr >= target, closest to target
-    best_any = None
+    tried = []   # (delta, snr) of every evaluation
 
     def measure(delta):
-        nonlocal evals, best_above, best_any
-        evals += 1
-        value = model.snr(delta)
-        if value >= target and (
-            best_above is None or value - target < best_above[1] - target
-        ):
-            best_above = (delta, value)
-        if best_any is None or abs(value - target) < abs(best_any[1] - target):
-            best_any = (delta, value)
-        return value
+        tried.append((delta, model.snr(delta)))
+        return tried[-1][1]
 
+    def searching():
+        return len(tried) < DELTA_SEARCH_ITERS and not any(
+            0 <= snr - target <= SNR_MATCH_TOL_DB / 4 for _, snr in tried)
+
+    lo = 1e-6
+    hi = max(max_c, 2 * lo)
     snr_lo = measure(lo)
     snr_hi = measure(hi)
     # quantize_levels refuses a level of 2**63: stop a margin of 2 short of it
@@ -200,9 +196,7 @@ def _tune_delta(model: _ErrorModel, target: float):
     # violation at a meaningful scale abandons bisection
     slack = SNR_MATCH_TOL_DB / 10
     monotone = snr_lo >= snr_hi - slack
-    while evals < DELTA_SEARCH_ITERS and monotone:
-        if best_above is not None and best_above[1] - target <= SNR_MATCH_TOL_DB / 4:
-            break
+    while monotone and searching():
         mid = math.sqrt(lo * hi)
         if not (lo < mid < hi):
             break
@@ -222,7 +216,7 @@ def _tune_delta(model: _ErrorModel, target: float):
         d = a + phi * (b - a)
         fc = measure(math.exp(c))
         fd = measure(math.exp(d))
-        while evals < DELTA_SEARCH_ITERS:
+        while searching():
             if abs(fc - target) < abs(fd - target):
                 b, d, fd = d, c, fc
                 c = b - phi * (b - a)
@@ -231,11 +225,17 @@ def _tune_delta(model: _ErrorModel, target: float):
                 a, c, fc = c, d, fd
                 d = a + phi * (b - a)
                 fd = measure(math.exp(d))
-    for pick in (best_above, best_any):
-        if pick is not None and abs(pick[1] - target) <= SNR_MATCH_TOL_DB:
+
+    def gap(pick):
+        return abs(pick[1] - target)
+
+    closest = min(tried, key=gap)   # min keeps the earliest of equal gaps
+    above = min((t for t in tried if t[1] >= target), key=gap, default=closest)
+    for pick in (above, closest):
+        if gap(pick) <= SNR_MATCH_TOL_DB:
             return pick
     raise TargetUnreachableError(
-        f"delta search stalled at {best_any[1]:.3f} dB for target {target:.2f} dB"
+        f"delta search stalled at {closest[1]:.3f} dB for target {target:.2f} dB"
     )
 
 
@@ -261,7 +261,7 @@ def cmd_encode(cfg: EncodeConfig, out=sys.stdout) -> metrics.QualityReport:
         result = pursuit_to_snr(
             parted.blocks,
             dico,
-            cfg.target_snr_db + cfg.overshoot_db,
+            cfg.target_snr_db + OVERSHOOT_DB,
             cfg.criterion,
             threads=cfg.threads,
         )
@@ -429,7 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument(
         "--criterion", choices=sorted(c.value for c in SelectionCriterion), default="oomp"
     )
-    enc.add_argument("--overshoot", type=float, default=3.0)
     enc.add_argument(
         "--threads", type=int, default=1,
         help="pursuit worker processes, at most one per usable core and per block "
@@ -465,7 +464,6 @@ def main(argv=None) -> int:
                 redundancy=args.redundancy,
                 criterion=SelectionCriterion(args.criterion),
                 target_snr_db=args.snr,
-                overshoot_db=args.overshoot,
                 delta=args.delta,
                 budget=args.atoms,
                 threads=args.threads,

@@ -70,7 +70,6 @@ import contextlib
 import heapq
 import math
 import os
-import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -162,22 +161,6 @@ def _panel(dico: TrigDictionary, channels: np.ndarray) -> np.ndarray:
     return out
 
 
-_local = threading.local()
-
-
-def _buffers(size: int):
-    """This thread's work arrays for ``select_candidate``: three float, one bool.
-
-    Every call writes them before it reads them, so nothing carries over
-    from one call to the next, and threads pursuing at once do not share.
-    """
-    bufs = getattr(_local, "buffers", None)
-    if bufs is None or bufs[0].size != size:
-        bufs = tuple(np.empty(size) for _ in range(3)) + (np.empty(size, dtype=bool),)
-        _local.buffers = bufs
-    return bufs
-
-
 def _check_block(block, dico: TrigDictionary) -> np.ndarray:
     block = np.asarray(block, dtype=float)
     if block.ndim == 1:
@@ -231,8 +214,8 @@ def select_candidate(state: BlockState, dico: TrigDictionary) -> None:
     The candidate's ranking gain is the residual-energy drop its
     acceptance would realize, which is the quantity the block ranker
     compares across blocks regardless of criterion.  A block at full
-    rank, or with no atom left, saturates.  Works in this thread's
-    ``_buffers``, so a step allocates no arrays.
+    rank, or with no atom left, saturates.  Every array is a temporary of
+    the call, so concurrent pursuits share nothing.
     """
     if state.saturated:
         return
@@ -240,31 +223,22 @@ def select_candidate(state: BlockState, dico: TrigDictionary) -> None:
     if len(state.selected) >= dico.block_size:
         _saturate(state)
         return
-    criterion = state.criterion
-    denom, sq, scores, free = _buffers(state.s_sums.size)
-    res_ip = state.res_ip
-    np.einsum("nj,nj->n", res_ip, res_ip, out=sq)
-    if criterion is SelectionCriterion.SOMP:
-        # channel by channel, with ``denom`` as the temporary: the sums of
-        # np.abs(res_ip).sum(axis=1) on the channel-major panel
-        np.abs(res_ip[:, 0], out=scores)
-        for j in range(1, res_ip.shape[1]):
-            scores += np.abs(res_ip[:, j], out=denom)
-    np.subtract(1.0, state.s_sums, out=denom)
-    np.less_equal(denom, DEPENDENCY_FLOOR, out=free)
-    state.blocked |= free
-    np.logical_not(state.blocked, out=free)
+    criterion, res_ip = state.criterion, state.res_ip
+    sq = np.einsum("nj,nj->n", res_ip, res_ip)
+    denom = 1.0 - state.s_sums
+    state.blocked |= denom <= DEPENDENCY_FLOOR
+    free = ~state.blocked
     if criterion is SelectionCriterion.OOMPML:
-        scores = np.divide(sq, denom, out=denom, where=free)   # scores are the gains
-    elif criterion is SelectionCriterion.MMV_OMP:
-        scores = sq
-    np.copyto(scores, -np.inf, where=state.blocked)
+        scores = np.divide(sq, denom, out=np.full_like(sq, -np.inf), where=free)
+    else:
+        # on the channel-major panel, the row sums add channel after channel
+        scores = np.abs(res_ip).sum(axis=1) if criterion is SelectionCriterion.SOMP else sq
+        scores = np.where(free, scores, -np.inf)
     n0 = int(np.argmax(scores))   # first max: smallest index wins ties
     if scores[n0] == -np.inf:     # every atom selected or dependent
         _saturate(state)
         return
-    gain = scores[n0] if criterion is SelectionCriterion.OOMPML else sq[n0] / denom[n0]
-    state.gain = float(gain)
+    state.gain = float(sq[n0] / denom[n0])
     state.candidate = n0 + 1
 
 
@@ -762,8 +736,10 @@ def _pursue_blocks(blocks, dico, criterion, stop, threads) -> PursuitResult:
     stride = max(1, -(-count // LIVE_BLOCKS))
     pilot = blocks[::stride]
     rest = [b for q, b in enumerate(blocks) if q % stride]
-    workers = worker_count(threads, len(pilot))
     pilot_stop = stop.pilot(stride, count)
+    # a stop done before the first pick takes no atom, and forked workers
+    # would compute their first rounds all the same
+    workers = 1 if pilot_stop.done else worker_count(threads, len(pilot))
     if workers == 1:
         tau, records = _pursue_in_process(pilot, rest, dico, criterion, pilot_stop)
     else:

@@ -220,6 +220,9 @@ def test_main_usage_errors_exit_2(tmp_path, wav_in):
         )
         == 2
     )
+    # the pursuit's margin over --snr is the constant OVERSHOOT_DB
+    assert main(["encode", "--in", str(wav_in), "--out", str(out),
+                 "--snr", "30", "--overshoot", "3"]) == 2
     assert main(["bogus"]) == 2
 
 
@@ -332,14 +335,18 @@ class _ValleyModel:
 
 
 def test_delta_search_falls_back_to_golden_section():
-    # the SNR at the bracket's top is above the SNR at its bottom, so
-    # bisection is abandoned at once
-    model = _ValleyModel(30.0, floor_db=0.02)
-    delta, achieved = _tune_delta(model, 30.0)
-    assert len(model.deltas) > 2
-    assert achieved == model.snr(delta)
-    assert abs(achieved - 30.0) <= SNR_MATCH_TOL_DB
-    assert abs(math.log(delta / 1e-3)) < 1.0
+    # the SNR at the bracket's middle is below the SNR at both its ends, so
+    # bisection is abandoned at its first step; a floor within a quarter of
+    # the tolerance above the target ends the golden section early
+    for floor_db in (0.02, 0.005):
+        model = _ValleyModel(30.0, floor_db=floor_db)
+        delta, achieved = _tune_delta(model, 30.0)
+        evals = len(model.deltas)
+        assert evals > 2
+        assert (evals < DELTA_SEARCH_ITERS) == (floor_db <= SNR_MATCH_TOL_DB / 4)
+        assert achieved == model.snr(delta)
+        assert abs(achieved - 30.0) <= SNR_MATCH_TOL_DB
+        assert abs(math.log(delta / 1e-3)) < 1.0
 
 
 def test_delta_search_that_never_meets_the_target_stalls():

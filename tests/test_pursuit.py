@@ -408,6 +408,9 @@ def test_first_candidate_is_the_argmax_of_the_panel_to_the_bit(rng, criterion):
     blocks[2] = np.zeros((16, 3))             # a silent block
     blocks[3] = np.column_stack([d.atom(9)] * 3)   # an exact atom: ties across channels
     blocks.append(rng.normal(size=(16, 1)))
+    # past 8 channels a contiguous row sum would go pairwise: these pin the
+    # channel-major order of select_candidate's sums
+    blocks += [rng.normal(size=(16, 9)), rng.normal(size=(16, 17))]
     for b in blocks:
         state = init_block_state(b, d, criterion)
         assert state.saturated == (not b.any())
@@ -526,8 +529,8 @@ def test_invariants_hold_at_full_rank_with_conditional_reorthogonalization(rng, 
 
 
 def test_pursuits_in_threads_at_once_match_serial_runs(rng):
-    # select_candidate's work arrays are per thread: pursuits running in
-    # several threads of one process must not see each other's
+    # select_candidate keeps nothing between calls: pursuits running in
+    # several threads of one process share no arrays
     import threading
 
     d = TrigDictionary(16, 32)
@@ -635,6 +638,26 @@ def test_snr_target_zero_returns_no_atoms(rng, monkeypatch, threads, capped, tar
     _assert_no_atoms(res, blocks)
     assert res.snr_db == 0.0
     assert res.snr_trace.shape == (0,)
+
+
+@pytest.mark.parametrize("capped", [False, True])
+@pytest.mark.parametrize("mode", ["budget", "snr"])
+def test_a_stop_done_at_once_computes_no_atoms(rng, monkeypatch, mode, capped):
+    # workers would compute their first rounds for a merge that takes none
+    d = TrigDictionary(64, 128)
+    blocks = random_blocks(rng, 8, 64, 2)
+    _one_worker_per_thread(monkeypatch)
+    if capped:
+        monkeypatch.setattr(pursuit, "LIVE_BLOCKS", CAPPED)
+    ahead = []
+    monkeypatch.setattr(pursuit, "_finish", _noting_run_ahead(pursuit._finish, ahead))
+    with _deadline(60):
+        if mode == "budget":
+            res = hbw_pursuit(blocks, d, 0, threads=2)
+        else:
+            res = pursuit_to_snr(blocks, d, 0.0, threads=2)
+    _assert_no_atoms(res, blocks)
+    assert ahead == [0] * len(blocks)
 
 
 def test_exactly_sparse_signal_reaches_noise_floor(rng):

@@ -15,39 +15,29 @@ The pursuit returns one of coefficients (``PursuitResult.atoms``),
 ``TrigDictionary.synthesize`` takes one; iterating a table yields each
 block's ``(indices, values)``.
 
-The package's names are ``__all__``, its submodules and ``__version__``.
-The pursuit's block-level steps (``init_block_state``, ``accept_candidate``
-and the rest), ``synthesize_block`` and the entropy coder are imported from
-their modules: ``tdcodec.pursuit``, ``tdcodec.dictionary`` and
-``tdcodec.entropy``.
+The codec is two calls: ``encode(signal, EncodeConfig(...))`` returns a
+``.tdc`` file's bytes and a ``QualityReport``, ``decode(data)`` the
+``MultichannelSignal`` they decode to.  The package's names are ``__all__``,
+its submodules and ``__version__``; the steps of the chain (``partition``,
+``serialize_decompositions``, ``write_tdc`` and the rest), the pursuit's
+block-level steps and the entropy coder are imported from their modules.
 """
 
+from .cli import EncodeConfig, decode, encode
 from .container import (
     BadMagicError,
     ChecksumError,
     ContainerError,
     FormatError,
     MultichannelSignal,
-    PartitionedSignal,
-    TdcHeader,
     UnsupportedVersionError,
-    assemble,
-    partition,
-    read_tdc,
     read_wav,
-    write_tdc,
     write_wav,
 )
 from .dictionary import AtomTable, TrigDictionary
 from .entropy import EntropyDecodeError
-from .metrics import SNR_CAP_DB, QualityReport, rate_report, snr
+from .metrics import SNR_CAP_DB, QualityReport, snr
 from .pursuit import PursuitResult, SelectionCriterion, hbw_pursuit, pursuit_to_snr
-from .quantize import (
-    QuantizedBlockSet,
-    StreamError,
-    parse_streams,
-    serialize_decompositions,
-)
 
 __version__ = "0.1.0"
 
@@ -56,29 +46,21 @@ __all__ = [
     "BadMagicError",
     "ChecksumError",
     "ContainerError",
+    "EncodeConfig",
     "EntropyDecodeError",
     "FormatError",
     "MultichannelSignal",
-    "PartitionedSignal",
     "PursuitResult",
     "QualityReport",
-    "QuantizedBlockSet",
     "SelectionCriterion",
     "SNR_CAP_DB",
-    "StreamError",
-    "TdcHeader",
     "TrigDictionary",
     "UnsupportedVersionError",
-    "assemble",
+    "decode",
+    "encode",
     "hbw_pursuit",
-    "parse_streams",
-    "partition",
     "pursuit_to_snr",
-    "rate_report",
-    "read_tdc",
     "read_wav",
-    "serialize_decompositions",
     "snr",
-    "write_tdc",
     "write_wav",
 ]

@@ -1,4 +1,6 @@
-"""Command-line front end: encode, decode, info, compare.
+"""``encode`` and ``decode``, and the command line over them: encode, decode,
+info, compare.  ``encode(signal, cfg)`` returns a ``.tdc`` file's bytes and a
+``QualityReport``, ``decode(data)`` a ``MultichannelSignal``; neither opens a file.
 
 Exit codes: 0 success, 2 usage error, 3 I/O or format error, 4 target
 SNR unreachable.
@@ -19,12 +21,10 @@ search tries costs a few batched products and one block of synthesis.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from .dictionary import synthesize_block  # noqa: F401
 from .pursuit import PursuitResult, SelectionCriterion, hbw_pursuit, pursuit_to_snr
 
 __all__ = [
+    "encode",
+    "decode",
     "EncodeConfig",
     "UsageError",
     "TargetUnreachableError",
@@ -64,7 +66,7 @@ class TargetUnreachableError(Exception):
 
 @dataclass
 class EncodeConfig:
-    """Settings of one encode.
+    """Settings of one encode; only ``cmd_encode`` reads the two paths.
 
     ``threads`` asks for pursuit worker processes: each pursues its own
     share of the blocks, at most one per usable core and per block
@@ -72,8 +74,8 @@ class EncodeConfig:
     does not depend on it.
     """
 
-    input_path: str
-    output_path: str
+    input_path: str | None = None
+    output_path: str | None = None
     block_size: int = 1024
     redundancy: int = 4
     criterion: SelectionCriterion = SelectionCriterion.OOMPML
@@ -83,7 +85,7 @@ class EncodeConfig:
     threads: int = 1
 
 
-def _check_modes(cfg: EncodeConfig):
+def _check_config(cfg: EncodeConfig):
     if cfg.target_snr_db is not None:
         if cfg.budget is not None or cfg.delta is not None:
             raise UsageError("--snr cannot be combined with --atoms or --delta")
@@ -95,6 +97,16 @@ def _check_modes(cfg: EncodeConfig):
         raise UsageError("--atoms must be >= 0")
     if cfg.delta is not None and cfg.delta <= 0:
         raise UsageError("--delta must be positive")
+    if cfg.redundancy < 2:
+        raise UsageError("--redundancy must be >= 2")
+    if not 2 <= cfg.block_size <= container.MAX_BLOCK_SIZE:
+        raise UsageError(f"--block must be between 2 and {container.MAX_BLOCK_SIZE}")
+    if cfg.block_size * cfg.redundancy // 2 > container.MAX_HALF_SIZE:
+        raise UsageError(
+            f"--block x --redundancy / 2 must be at most {container.MAX_HALF_SIZE}"
+        )
+    if cfg.threads < 1:
+        raise UsageError("--threads must be >= 1")
 
 
 class _ErrorModel:
@@ -208,7 +220,7 @@ def _tune_delta(model: _ErrorModel, target: float):
             lo, snr_lo = mid, val
         else:
             hi, snr_hi = mid, val
-    if not monotone:
+    if not monotone and searching():
         # golden-section on |snr - target| over the remaining bracket
         phi = (math.sqrt(5) - 1) / 2
         a, b = math.log(lo), math.log(hi)
@@ -239,19 +251,12 @@ def _tune_delta(model: _ErrorModel, target: float):
     )
 
 
-def cmd_encode(cfg: EncodeConfig, out=sys.stdout) -> metrics.QualityReport:
-    _check_modes(cfg)
-    if cfg.redundancy < 2:
-        raise UsageError("--redundancy must be >= 2")
-    if not 2 <= cfg.block_size <= container.MAX_BLOCK_SIZE:
-        raise UsageError(f"--block must be between 2 and {container.MAX_BLOCK_SIZE}")
-    if cfg.block_size * cfg.redundancy // 2 > container.MAX_HALF_SIZE:
-        raise UsageError(
-            f"--block x --redundancy / 2 must be at most {container.MAX_HALF_SIZE}"
-        )
-    if cfg.threads < 1:
-        raise UsageError("--threads must be >= 1")
-    signal = container.read_wav(cfg.input_path)
+def encode(signal: MultichannelSignal,
+           cfg: EncodeConfig) -> tuple[bytes, metrics.QualityReport]:
+    """The bytes of the ``.tdc`` file of ``signal`` and their ``QualityReport``."""
+    _check_config(cfg)
+    container._check_rate(signal.sample_rate)
+    container._check_samples(signal.samples)
     dico = TrigDictionary(cfg.block_size, (cfg.block_size * cfg.redundancy) // 2)
     parted = container.partition(signal, cfg.block_size)
 
@@ -291,15 +296,21 @@ def cmd_encode(cfg: EncodeConfig, out=sys.stdout) -> metrics.QualityReport:
         block_size=cfg.block_size,
         half_size=dico.half_size,
     )
-    with open(cfg.output_path, "wb") as fh:
-        fh.write(blob)
     report = metrics.rate_report(
         len(blob), signal.sample_rate, signal.sample_count, snr_db=achieved
     )
+    return blob, replace(report, atoms=result.atom_count, delta=delta)
+
+
+def cmd_encode(cfg: EncodeConfig, out=sys.stdout) -> metrics.QualityReport:
+    _check_config(cfg)   # before the WAV is read
+    blob, report = encode(container.read_wav(cfg.input_path), cfg)
+    with open(cfg.output_path, "wb") as fh:
+        fh.write(blob)
     print(
         f"{cfg.output_path}: snr {report.snr_db:.2f} dB, "
         f"{report.file_bytes} bytes, {report.kbps:.2f} kbps, "
-        f"{result.atom_count} atoms, delta {delta:.6g}",
+        f"{report.atoms} atoms, delta {report.delta:.6g}",
         file=out,
     )
     return report
@@ -319,18 +330,19 @@ def _reconstruct(dico: TrigDictionary, levels: AtomTable, delta: float,
     return blocks.reshape(-1, blocks.shape[-1])[:length]
 
 
-def _decode_samples(data: bytes):
+def decode(data: bytes) -> MultichannelSignal:
+    """The signal that the bytes of a ``.tdc`` file decode to."""
     header, qset = container.read_tdc(data)
     dico = TrigDictionary(header.block_size, header.half_size)
     levels = quantize.parse_streams(qset)
-    return header, _reconstruct(dico, levels, header.delta, header.original_length)
+    samples = _reconstruct(dico, levels, header.delta, header.original_length)
+    return MultichannelSignal(samples, header.sample_rate)
 
 
 def cmd_decode(input_path: str, output_path: str) -> None:
     with open(input_path, "rb") as fh:
         data = fh.read()
-    header, samples = _decode_samples(data)
-    container.write_wav(output_path, MultichannelSignal(samples, header.sample_rate))
+    container.write_wav(output_path, decode(data))
 
 
 def cmd_info(path: str, out=sys.stdout) -> container.TdcHeader:
@@ -381,12 +393,14 @@ def cmd_compare(
     ref_path: str, candidate_paths: list[str], csv_path: str | None = None,
     out=sys.stdout,
 ):
+    import csv
+
     ref = container.read_wav(ref_path)
     rows = []
     for path in candidate_paths:
         if path.lower().endswith(".tdc"):
             with open(path, "rb") as fh:
-                _, samples = _decode_samples(fh.read())
+                samples = decode(fh.read()).samples
         else:
             samples = container.read_wav(path).samples
         if samples.shape != ref.samples.shape:
@@ -412,7 +426,9 @@ def cmd_compare(
     return rows
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tdcodec", description="Sparse trigonometric-dictionary audio codec"
     )

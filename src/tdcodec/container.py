@@ -250,6 +250,11 @@ def _check_rate(sample_rate: int) -> None:
         raise FormatError(f"sample rate {sample_rate} Hz must be >= 1")
 
 
+def _check_samples(samples) -> None:
+    if np.ndim(samples) != 2 or np.shape(samples)[1] < 1:
+        raise FormatError(f"samples of shape {np.shape(samples)} are not (N, L >= 1)")
+
+
 def _framed(payload: bytes, frame: int) -> bytes:
     if len(payload) % frame:
         raise FormatError("data chunk is not a whole number of frames")
@@ -263,8 +268,9 @@ def write_wav(path, signal: MultichannelSignal) -> None:
     temporaries are reused by the allocator, where whole-clip ones fault in
     fresh pages on every call once the process heap is small.
     """
-    n_channels = signal.samples.shape[1]
     _check_rate(signal.sample_rate)
+    _check_samples(signal.samples)
+    n_channels = signal.samples.shape[1]
     if signal.samples.size * 2 > WAV_MAX_DATA_BYTES:
         raise FormatError(
             f"{signal.samples.size} samples exceed what a 16-bit WAV can hold"

@@ -18,6 +18,8 @@ class QualityReport:
     file_bytes: int
     duration_s: float
     kbps: float
+    atoms: int | None = None     # an encode's atom count and step
+    delta: float | None = None
 
 
 def snr_from_energies(signal_energy: float, residual_energy: float) -> float:

@@ -167,6 +167,8 @@ def _check_block(block, dico: TrigDictionary) -> np.ndarray:
         block = block[:, None]
     if block.ndim != 2 or block.shape[0] != dico.block_size:
         raise ValueError(f"block must be ({dico.block_size}, L)")
+    if not np.isfinite(block).all():
+        raise ValueError("block samples must be finite")
     return block
 
 

@@ -15,17 +15,15 @@ from tdcodec import (
     SelectionCriterion,
     TrigDictionary,
     hbw_pursuit,
-    parse_streams,
     pursuit_to_snr,
-    read_tdc,
     read_wav,
-    serialize_decompositions,
     snr,
-    write_tdc,
     write_wav,
 )
 from tdcodec.cli import EncodeConfig, cmd_compare, cmd_decode, cmd_encode
+from tdcodec.container import read_tdc, write_tdc
 from tdcodec.pursuit import accept_candidate, init_block_state, rank_blocks
+from tdcodec.quantize import parse_streams, serialize_decompositions
 
 from conftest import assert_state_invariants, atom_table
 from oracles import brute_force_hbw

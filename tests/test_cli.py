@@ -7,11 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
+import tdcodec
 from tdcodec import (
     MultichannelSignal,
     SNR_CAP_DB,
     TrigDictionary,
-    read_tdc,
     read_wav,
     snr,
     write_wav,
@@ -29,6 +29,7 @@ from tdcodec.cli import (
     _tune_delta,
     main,
 )
+from tdcodec.container import read_tdc
 
 NB = 64
 
@@ -127,6 +128,45 @@ def test_mode_validation():
         cmd_encode(cfg)
 
 
+@pytest.mark.parametrize("mode", [{"target_snr_db": 30.0}, {"budget": 40, "delta": 0.02}],
+                         ids=["snr", "atoms"])
+def test_library_encode_writes_the_bytes_of_cmd_encode(wav_in, tmp_path, mode):
+    out, file_report = encode(wav_in, tmp_path, **mode)
+    blob, report = tdcodec.encode(read_wav(wav_in), tdcodec.EncodeConfig(block_size=NB, **mode))
+    assert blob == out.read_bytes()
+    assert report == file_report
+    header, _ = read_tdc(blob)
+    assert (report.atoms, report.delta) == (header.total_atoms, header.delta)
+    back = tdcodec.decode(blob)
+    assert back.sample_rate == 8000
+    assert back.samples.shape == read_wav(wav_in).samples.shape
+
+
+@pytest.mark.parametrize("bad", ["rate", "1-D", "nan", "inf"])
+@pytest.mark.parametrize("mode", [{"target_snr_db": 30.0}, {"budget": 40}],
+                         ids=["snr", "atoms"])
+def test_library_encode_refuses_bad_signals_before_pursuing(rng, monkeypatch, bad, mode):
+    from tdcodec import FormatError, cli
+
+    def pursued(*args, **kwargs):
+        raise AssertionError("pursued")
+
+    samples, rate = 0.3 * rng.normal(size=(300, 2)), 8000
+    if bad == "rate":
+        rate = 0
+    elif bad == "1-D":
+        samples = samples[:, 0]
+    else:
+        samples[123, 1] = float(bad)
+    if bad in ("rate", "1-D"):
+        monkeypatch.setattr(cli, "pursuit_to_snr", pursued)
+        monkeypatch.setattr(cli, "hbw_pursuit", pursued)
+    cfg = EncodeConfig(block_size=NB, **mode)
+    error = FormatError if bad in ("rate", "1-D") else ValueError
+    with pytest.raises(error, match="sample rate 0|not \\(N, L >= 1\\)|must be finite"):
+        tdcodec.encode(MultichannelSignal(samples, rate), cfg)
+
+
 def test_silent_input_encodes_with_budget_and_decodes_to_silence(tmp_path):
     path = tmp_path / "silence.wav"
     write_wav(path, MultichannelSignal(np.zeros((300, 2)), 8000))
@@ -156,15 +196,13 @@ def test_a_target_above_the_snr_at_delta_1e_6_is_reached_below_it(tmp_path):
     # a lone impulse is dense in the dictionary: its coefficients are small,
     # so at delta 1e-6 the decoded SNR is 99.88 dB, and the search must look
     # below that delta for 120 dB, which the pursuit reaches
-    from tdcodec.cli import _decode_samples
-
     samples = np.zeros((44100, 1))
     samples[20000, 0] = 0.9
     path, out = tmp_path / "impulse.wav", tmp_path / "impulse.tdc"
     write_wav(path, MultichannelSignal(samples, 44100))
     assert main(["encode", "--in", str(path), "--out", str(out), "--snr", "120"]) == 0
-    header, decoded = _decode_samples(out.read_bytes())
-    assert header.delta < 1e-6
+    assert read_tdc(out.read_bytes())[0].delta < 1e-6
+    decoded = tdcodec.decode(out.read_bytes()).samples
     ref = read_wav(path).samples
     exact = 10 * np.log10(np.sum(ref**2) / np.sum((ref - decoded) ** 2))
     assert abs(exact - 120.0) <= SNR_MATCH_TOL_DB
@@ -305,8 +343,9 @@ def test_corrupted_container_is_rejected_on_decode(tmp_path, wav_in, rng):
 def test_decoded_snr_is_nonincreasing_in_delta(wav_in, tmp_path, rng):
     # the bisection in the delta search leans on this ordering; rounding
     # noise may jitter the curve by a sub-milli-dB amount at fine deltas
-    from tdcodec import TrigDictionary, partition, pursuit_to_snr, read_wav
+    from tdcodec import TrigDictionary, pursuit_to_snr, read_wav
     from tdcodec.cli import _ErrorModel
+    from tdcodec.container import partition
 
     sig = read_wav(wav_in)
     d = TrigDictionary(NB, 2 * NB)
@@ -337,13 +376,15 @@ class _ValleyModel:
 def test_delta_search_falls_back_to_golden_section():
     # the SNR at the bracket's middle is below the SNR at both its ends, so
     # bisection is abandoned at its first step; a floor within a quarter of
-    # the tolerance above the target ends the golden section early
+    # the tolerance above the target ends the search early: at 0.005 dB the
+    # first midpoint is the pick, and the golden section is not started
     for floor_db in (0.02, 0.005):
         model = _ValleyModel(30.0, floor_db=floor_db)
         delta, achieved = _tune_delta(model, 30.0)
         evals = len(model.deltas)
         assert evals > 2
         assert (evals < DELTA_SEARCH_ITERS) == (floor_db <= SNR_MATCH_TOL_DB / 4)
+        assert (evals == 3) == (floor_db <= SNR_MATCH_TOL_DB / 4)
         assert achieved == model.snr(delta)
         assert abs(achieved - 30.0) <= SNR_MATCH_TOL_DB
         assert abs(math.log(delta / 1e-3)) < 1.0
@@ -357,13 +398,11 @@ def test_delta_search_that_never_meets_the_target_stalls():
 
 
 def _check_reported_snr(tmp_path, samples, mode, block_size=NB):
-    from tdcodec.cli import _decode_samples
-
     path, out = tmp_path / "in.wav", tmp_path / "out.tdc"
     write_wav(path, MultichannelSignal(samples, 8000))
     cfg = EncodeConfig(str(path), str(out), block_size=block_size, **mode)
     report = cmd_encode(cfg, out=io.StringIO())
-    _, decoded = _decode_samples(out.read_bytes())
+    decoded = tdcodec.decode(out.read_bytes()).samples
     ref = read_wav(path).samples
     exact = 10 * np.log10(np.sum(ref**2) / np.sum((ref - decoded) ** 2))
     assert abs(report.snr_db - exact) <= 1e-6
@@ -400,7 +439,7 @@ def test_reported_snr_equals_float_decode_across_clip_layouts(
 ):
     # the last block is no longer padded, is the only one, or some blocks
     # hold no atoms
-    from tdcodec import parse_streams
+    from tdcodec.quantize import parse_streams
 
     samples = sparse_stereo_signal(rng, channels=channels)
     if layout == "whole-blocks":
@@ -478,8 +517,8 @@ def test_decode_matches_per_block_atom_synthesis(tmp_path, rng, channels,
                                                  redundancy):
     # the batched inverse-FFT decode against the atom-matrix sum of every
     # block, the last one partial
-    from tdcodec import container, parse_streams
-    from tdcodec.cli import _decode_samples
+    from tdcodec import container
+    from tdcodec.quantize import parse_streams
     from oracles import atoms_synthesis
 
     samples = sparse_stereo_signal(rng, channels=channels)
@@ -495,7 +534,7 @@ def test_decode_matches_per_block_atom_synthesis(tmp_path, rng, channels,
     ]
     pad = header.block_count * NB - header.original_length
     want = container.assemble(container.PartitionedSignal(blocks, pad))
-    _, got = _decode_samples(out.read_bytes())
+    got = tdcodec.decode(out.read_bytes()).samples
     assert got.shape == samples.shape
     assert np.abs(got - want).max() <= 1e-12
 

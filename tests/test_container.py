@@ -17,14 +17,8 @@ from tdcodec import (
     MultichannelSignal,
     TrigDictionary,
     UnsupportedVersionError,
-    assemble,
     hbw_pursuit,
-    parse_streams,
-    partition,
-    read_tdc,
     read_wav,
-    serialize_decompositions,
-    write_tdc,
     write_wav,
 )
 from tdcodec import entropy
@@ -36,8 +30,12 @@ from tdcodec.container import (
     MAX_BLOCK_SIZE,
     MAX_HALF_SIZE,
     VERSION,
+    assemble,
+    partition,
+    read_tdc,
+    write_tdc,
 )
-from tdcodec.quantize import QuantizedBlockSet
+from tdcodec.quantize import QuantizedBlockSet, parse_streams, serialize_decompositions
 
 from conftest import atom_table
 
@@ -460,6 +458,13 @@ def test_write_wav_rejects_fmt_fields_that_overflow(tmp_path, channels, rate):
     sig = MultichannelSignal(np.zeros((1, channels)), rate)
     with pytest.raises(FormatError, match="fmt fields"):
         write_wav(tmp_path / "x.wav", sig)
+    assert not (tmp_path / "x.wav").exists()
+
+
+@pytest.mark.parametrize("shape", [(10, 0), (10,), (2, 3, 1)])
+def test_write_wav_refuses_samples_that_are_not_n_by_l(tmp_path, shape):
+    with pytest.raises(FormatError, match="not \\(N, L >= 1\\)"):
+        write_wav(tmp_path / "x.wav", MultichannelSignal(np.zeros(shape), 8000))
     assert not (tmp_path / "x.wav").exists()
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tdcodec import SNR_CAP_DB, MultichannelSignal, rate_report, snr
+from tdcodec import SNR_CAP_DB, MultichannelSignal, snr
+from tdcodec.metrics import rate_report
 
 
 def test_identical_signals_report_the_lossless_sentinel(rng):

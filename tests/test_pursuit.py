@@ -378,6 +378,24 @@ def test_panel_refresh_keeps_long_runs_healthy(rng):
     assert_state_invariants(state, d, block)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "3-D", "short"])
+def test_pursuits_refuse_blocks_that_are_not_finite_n_b_by_l(rng, bad):
+    # refused at the input check, not deep in the pursuit or the delta search
+    d = TrigDictionary(16, 32)
+    blocks = random_blocks(rng, 3, 16, 2)
+    if bad == "3-D":
+        blocks[1] = blocks[1][:, :, None]
+    elif bad == "short":
+        blocks[1] = blocks[1][:15]
+    else:
+        blocks[1][7, 1] = float(bad)
+    match = "must be finite" if bad in ("nan", "inf") else r"must be \(16, L\)"
+    for run in (lambda: hbw_pursuit(blocks, d, 12), lambda: pursuit_to_snr(blocks, d, 20.0),
+                lambda: init_block_state(blocks[1], d, OOMP)):
+        with pytest.raises(ValueError, match=match):
+            run()
+
+
 @pytest.mark.parametrize("channels", [1, 6])
 def test_pursuit_leaves_the_callers_blocks_unchanged(rng, channels):
     # the residual is a channel-major copy; a mono (N_b, 1) block is
@@ -1127,11 +1145,13 @@ def test_a_failing_worker_fails_the_encode_and_leaves_no_process(tmp_path, rng,
 
 
 def test_importing_the_codec_loads_no_process_or_thread_pool():
-    # multiprocessing is imported when workers start, not with the package
+    # multiprocessing is imported when workers start, not with the package;
+    # argparse and csv when the command line or a compare table needs them
     code = (
         "import sys, tdcodec, tdcodec.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent')))"
+        "if m.split('.')[0] in ('multiprocessing', 'argparse', 'csv') "
+        "or m.startswith('concurrent')))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)

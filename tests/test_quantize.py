@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tdcodec import (
+from tdcodec.quantize import (
+    QuantizedBlockSet,
     StreamError,
     parse_streams,
+    quantize_levels,
     serialize_decompositions,
 )
-from tdcodec.quantize import QuantizedBlockSet, quantize_levels
 
 from conftest import atom_table
 from oracles import parse_streams_loop

@@ -5,6 +5,11 @@ info, compare.  ``encode(signal, cfg)`` returns a ``.tdc`` file's bytes and a
 Exit codes: 0 success, 2 usage error, 3 I/O or format error, 4 target
 SNR unreachable.
 
+The ``encode`` flags parse into an ``EncodeConfig``, one field each (``--in``
+is ``input_path``, ``--snr`` ``target_snr_db``, ``--atoms`` ``budget``,
+``--block`` ``block_size``), and a flag left out keeps the field's default.
+The settings are checked before the WAV is read.
+
 ``encode`` supports two termination modes.  With ``--snr`` the pursuit
 runs until it overshoots the target by ``OVERSHOOT_DB`` (3 dB), then the
 quantization step is tuned by bisection on ``log delta`` until the
@@ -95,8 +100,12 @@ def _check_config(cfg: EncodeConfig):
         raise UsageError("one of --snr or --atoms is required")
     elif cfg.budget < 0:
         raise UsageError("--atoms must be >= 0")
-    if cfg.delta is not None and cfg.delta <= 0:
-        raise UsageError("--delta must be positive")
+    if cfg.target_snr_db is not None and not math.isfinite(cfg.target_snr_db):
+        raise UsageError("--snr must be finite")
+    if cfg.delta is not None and not 0 < cfg.delta < math.inf:
+        raise UsageError("--delta must be positive and finite")
+    if not isinstance(cfg.criterion, SelectionCriterion):
+        raise UsageError(f"criterion {cfg.criterion!r} is not a SelectionCriterion")
     if cfg.redundancy < 2:
         raise UsageError("--redundancy must be >= 2")
     if not 2 <= cfg.block_size <= container.MAX_BLOCK_SIZE:
@@ -434,21 +443,23 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    enc = sub.add_parser("encode", help="encode a WAV file to .tdc")
-    enc.add_argument("--in", dest="input", required=True)
-    enc.add_argument("--out", dest="output", required=True)
-    enc.add_argument("--snr", type=float, default=None, help="target SNR in dB")
-    enc.add_argument("--atoms", type=int, default=None, help="total atom budget")
-    enc.add_argument("--delta", type=float, default=None)
-    enc.add_argument("--block", type=int, default=1024)
-    enc.add_argument("--redundancy", type=int, default=4)
+    enc = sub.add_parser("encode", help="encode a WAV file to .tdc",
+                         argument_default=argparse.SUPPRESS)
+    enc.add_argument("--in", dest="input_path", required=True)
+    enc.add_argument("--out", dest="output_path", required=True)
+    enc.add_argument("--snr", dest="target_snr_db", type=float, help="target SNR in dB")
+    enc.add_argument("--atoms", dest="budget", type=int, help="total atom budget")
+    enc.add_argument("--delta", type=float)
+    enc.add_argument("--block", dest="block_size", type=int)
+    enc.add_argument("--redundancy", type=int)
     enc.add_argument(
-        "--criterion", choices=sorted(c.value for c in SelectionCriterion), default="oomp"
+        "--criterion", type=SelectionCriterion,
+        metavar="{" + ",".join(sorted(c.value for c in SelectionCriterion)) + "}",
     )
     enc.add_argument(
-        "--threads", type=int, default=1,
-        help="pursuit worker processes, at most one per usable core and per block "
-        "(default 1: pursue in this process); the file does not depend on it",
+        "--threads", type=int,
+        help=f"pursuit worker processes (default {EncodeConfig.threads}: in this process), "
+        "at most one per usable core and per block; the file does not depend on it",
     )
 
     dec = sub.add_parser("decode", help="decode a .tdc file to WAV")
@@ -468,29 +479,19 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    command = args.pop("command")
     try:
-        if args.command == "encode":
-            cfg = EncodeConfig(
-                input_path=args.input,
-                output_path=args.output,
-                block_size=args.block,
-                redundancy=args.redundancy,
-                criterion=SelectionCriterion(args.criterion),
-                target_snr_db=args.snr,
-                delta=args.delta,
-                budget=args.atoms,
-                threads=args.threads,
-            )
-            cmd_encode(cfg)
-        elif args.command == "decode":
-            cmd_decode(args.input, args.output)
-        elif args.command == "info":
-            cmd_info(args.path)
-        elif args.command == "compare":
-            cmd_compare(args.ref, args.candidates, csv_path=args.csv)
+        if command == "encode":
+            cmd_encode(EncodeConfig(**args))
+        elif command == "decode":
+            cmd_decode(args["input"], args["output"])
+        elif command == "info":
+            cmd_info(args["path"])
+        elif command == "compare":
+            cmd_compare(args["ref"], args["candidates"], csv_path=args["csv"])
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

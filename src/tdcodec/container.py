@@ -20,6 +20,9 @@ header_checksum           u32 CRC-32 of every preceding byte
 payload                   the streams' bytes, in record order
 ========================  =======================================
 
+:class:`TdcHeader` holds the fields from version to delta and the stream
+records; ``write_tdc`` and ``read_tdc`` check it with one function.
+
 Stream order is: index stream, the L coefficient streams, the L sign
 streams.  This module is the only one that splits a
 :class:`~tdcodec.quantize.QuantizedBlockSet`'s ``(K, L)`` signed levels:
@@ -42,7 +45,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +140,7 @@ class StreamRecord:
 
 @dataclass
 class TdcHeader:
+    # the fields of _FIXED after the magic, in its order, then the records
     version: int
     sample_rate: int
     channel_count: int
@@ -146,7 +150,7 @@ class TdcHeader:
     block_count: int
     total_atoms: int
     delta: float
-    stream_records: list[StreamRecord]
+    stream_records: list[StreamRecord] = field(default_factory=list)
 
 
 # --- WAV ------------------------------------------------------------------
@@ -348,43 +352,45 @@ def _bound(symbols) -> int:
     return int(arr.max()) + 1 if arr.size else 1
 
 
-def _check_header(channels: int, sample_rate: int, length: int, block_size: int,
-                  half_size: int, q: int, k: int, delta: float,
-                  index_bound: int) -> None:
+def _check_header(h: TdcHeader, index_bound: int) -> None:
     """Refuse fixed header fields, and an index alphabet bound, that no
     decoder accepts; the writer and the reader share this one set."""
-    if channels < 1:
+    if h.channel_count < 1:
         raise FormatError("channel count must be >= 1")
-    _check_rate(sample_rate)
-    if block_size < 2 or half_size < block_size:
-        raise FormatError(f"bad dictionary geometry {block_size}/{half_size}")
-    if block_size > MAX_BLOCK_SIZE or half_size > MAX_HALF_SIZE:
+    _check_rate(h.sample_rate)
+    if h.block_size < 2 or h.half_size < h.block_size:
+        raise FormatError(f"bad dictionary geometry {h.block_size}/{h.half_size}")
+    if h.block_size > MAX_BLOCK_SIZE or h.half_size > MAX_HALF_SIZE:
         raise FormatError(
-            f"block size {block_size} or half size {half_size} above "
+            f"block size {h.block_size} or half size {h.half_size} above "
             f"the limits {MAX_BLOCK_SIZE} and {MAX_HALF_SIZE}"
         )
-    if not (q * block_size >= length > (q - 1) * block_size):
+    padded = h.block_count * h.block_size
+    if not (padded >= h.original_length > padded - h.block_size):
         raise FormatError(
-            f"block geometry mismatch: Q={q}, block_size={block_size}, N={length}"
+            f"block geometry mismatch: Q={h.block_count}, "
+            f"block_size={h.block_size}, N={h.original_length}"
         )
     # Decoders synthesize every block in full before the last one's padding
     # is dropped, so the padded length must fit one 16-bit WAV data chunk.
-    if q * block_size * channels * 2 > WAV_MAX_DATA_BYTES:
+    if padded * h.channel_count * 2 > WAV_MAX_DATA_BYTES:
         raise FormatError(
-            f"{q} blocks of {block_size} samples x {channels} channels exceed "
-            "what a 16-bit WAV can hold"
+            f"{h.block_count} blocks of {h.block_size} samples x "
+            f"{h.channel_count} channels exceed what a 16-bit WAV can hold"
         )
-    if not (delta > 0 and np.isfinite(delta)):
-        raise FormatError(f"delta {delta!r} is not a positive finite float")
+    if not (h.delta > 0 and np.isfinite(h.delta)):
+        raise FormatError(f"delta {h.delta!r} is not a positive finite float")
     # a block holds at most min(N_b, 2M) independent atoms, which is N_b:
     # the geometry check above refuses half_size < block_size
-    if k > q * block_size:
-        raise FormatError(f"total_atoms {k} exceeds what {q} blocks can hold")
+    if h.total_atoms > padded:
+        raise FormatError(
+            f"total_atoms {h.total_atoms} exceeds what {h.block_count} blocks can hold"
+        )
     # An index gap is at most 2M (the top atom after separator 0).
-    if index_bound > 2 * half_size + 1:
+    if index_bound > 2 * h.half_size + 1:
         raise FormatError(
             f"index stream alphabet bound {index_bound} above "
-            f"2 * half_size + 1 = {2 * half_size + 1}"
+            f"2 * half_size + 1 = {2 * h.half_size + 1}"
         )
 
 
@@ -407,10 +413,11 @@ def write_tdc(
     levels = np.asarray(qset.levels)
     if levels.ndim != 2 or levels.shape[1] < 1:
         raise FormatError(f"levels of shape {levels.shape} are not (K, L) with L >= 1")
-    q, (k, channels), length = qset.block_count, levels.shape, int(original_length)
+    (k, channels), q = levels.shape, qset.block_count
+    header = TdcHeader(VERSION, sample_rate, channels, int(original_length), block_size,
+                       half_size, q, k, qset.delta)
     index_stream = np.asarray(qset.index_stream)
-    _check_header(channels, sample_rate, length, block_size, half_size, q, k,
-                  qset.delta, _bound(index_stream))
+    _check_header(header, _bound(index_stream))
     if len(index_stream) != k + q - 1:
         raise FormatError(
             f"index stream holds {len(index_stream) - q + 1} atoms, levels {k} rows"
@@ -420,13 +427,12 @@ def write_tdc(
     mags = np.abs(levels)
     _check_scale(qset.delta, mags)
     try:
-        head = _FIXED.pack(MAGIC, VERSION, sample_rate, channels, length, block_size,
-                           half_size, q, k, qset.delta)
+        head = _FIXED.pack(MAGIC, *astuple(header)[:-1])
     except struct.error as exc:
         raise FormatError(f"a header field is wider than its slot: {exc}") from None
 
     payloads = []
-    records = []
+    records = header.stream_records
     for symbols in [index_stream, *mags.T]:
         bound = _bound(symbols)
         payloads.append(entropy.arith_encode(entropy.SymbolStream(symbols, bound)))
@@ -435,9 +441,7 @@ def write_tdc(
         payloads.append(np.packbits(bits).tobytes())
         records.append(StreamRecord(2, k, len(payloads[-1])))
     payload = b"".join(payloads)
-    head += b"".join(
-        _RECORD.pack(r.alphabet_bound, r.symbol_count, r.byte_length) for r in records
-    )
+    head += b"".join(_RECORD.pack(*astuple(r)) for r in records)
     head += _CRC.pack(zlib.crc32(payload))
     head += _CRC.pack(zlib.crc32(head))
     return head + payload
@@ -447,32 +451,19 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
     """Parse and verify a .tdc byte sequence; exact inverse of write_tdc."""
     if len(data) < _FIXED.size:
         raise FormatError("truncated header")
-    (
-        magic,
-        version,
-        sample_rate,
-        channels,
-        length,
-        block_size,
-        half_size,
-        q,
-        k,
-        delta,
-    ) = _FIXED.unpack_from(data, 0)
+    magic, *fixed = _FIXED.unpack_from(data, 0)
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise UnsupportedVersionError(f"unsupported version {version}")
-    n_streams = 1 + 2 * channels
-    header_size = _FIXED.size + n_streams * _RECORD.size + 2 * _CRC.size
-    if len(data) < header_size:
+    header = TdcHeader(*fixed)
+    if header.version != VERSION:
+        raise UnsupportedVersionError(f"unsupported version {header.version}")
+    channels, q, k = header.channel_count, header.block_count, header.total_atoms
+    pos = _FIXED.size + (1 + 2 * channels) * _RECORD.size
+    if len(data) < pos + 2 * _CRC.size:
         raise FormatError("truncated stream records")
-    records = []
-    pos = _FIXED.size
-    for _ in range(n_streams):
-        bound, count, nbytes = _RECORD.unpack_from(data, pos)
-        records.append(StreamRecord(bound, count, nbytes))
-        pos += _RECORD.size
+    records = header.stream_records = [
+        StreamRecord(*r) for r in _RECORD.iter_unpack(data[_FIXED.size : pos])
+    ]
     (payload_crc,) = _CRC.unpack_from(data, pos)
     pos += _CRC.size
     (header_crc,) = _CRC.unpack_from(data, pos)
@@ -480,8 +471,7 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
         raise ChecksumError("header")
     pos += _CRC.size
 
-    _check_header(channels, sample_rate, length, block_size, half_size, q, k,
-                  delta, records[0].alphabet_bound)
+    _check_header(header, records[0].alphabet_bound)
     # Cross-check every symbol count before the decoder allocates for it:
     # the index stream is K atom symbols plus Q - 1 block separators.
     if records[0].symbol_count != k + q - 1:
@@ -519,25 +509,13 @@ def read_tdc(data: bytes) -> tuple[TdcHeader, QuantizedBlockSet]:
         for b, r in zip(blobs[: 1 + channels], records)
     ]
     index_stream, mags = streams[0], np.stack(streams[1:], axis=1)
-    _check_scale(delta, mags)
+    _check_scale(header.delta, mags)
     n_sep = int(np.count_nonzero(index_stream == 0))
     if n_sep != q - 1:
         raise FormatError(f"index stream has {n_sep} separators, expected {q - 1}")
 
-    header = TdcHeader(
-        version=version,
-        sample_rate=sample_rate,
-        channel_count=channels,
-        original_length=length,
-        block_size=block_size,
-        half_size=half_size,
-        block_count=q,
-        total_atoms=k,
-        delta=delta,
-        stream_records=records,
-    )
     sign = np.stack([np.unpackbits(s, count=k) for s in signs], axis=1)
     qset = QuantizedBlockSet(
-        delta=delta, index_stream=index_stream, levels=np.where(sign, -mags, mags)
+        delta=header.delta, index_stream=index_stream, levels=np.where(sign, -mags, mags)
     )
     return header, qset

@@ -123,9 +123,8 @@ class BlockState:
     r: np.ndarray = None              # (capacity, capacity), r[i, k] = <w_i, d_k>
     wf: np.ndarray = None             # (capacity, L), wf[i] = <w_i, block>
     blocked: np.ndarray = None        # selected or numerically dependent
-    candidate: int | None = None      # 1-based atom index of the next pick
-    gain: float = -np.inf             # candidate's gain; -inf if none/saturated
-    saturated: bool = False
+    candidate: int | None = None      # 1-based atom index of the next pick; None: saturated
+    gain: float = -np.inf             # candidate's gain; -inf once saturated
 
     def __post_init__(self):
         if self.w is None:
@@ -137,16 +136,23 @@ class BlockState:
     def atom_count(self) -> int:
         return len(self.selected)
 
+    @property
+    def saturated(self) -> bool:
+        return self.candidate is None
+
 
 @dataclass
 class PursuitResult:
     atoms: AtomTable                  # indices in selection order, (K, L) coefficients
-    atom_count: int
     saturated: bool
     factors: list[np.ndarray]         # per block, the (k, k) factor r[:k, :k]
     residual_energies: np.ndarray     # per block, |residual|^2 over channels
     snr_db: float | None = None
     snr_trace: np.ndarray | None = None
+
+    @property
+    def atom_count(self) -> int:
+        return self.atoms.indices.size
 
 
 def _panel(dico: TrigDictionary, channels: np.ndarray) -> np.ndarray:
@@ -159,6 +165,11 @@ def _panel(dico: TrigDictionary, channels: np.ndarray) -> np.ndarray:
     for j in range(channels.shape[1]):
         out[:, j] = dico.all_inner_products(channels[:, j])
     return out
+
+
+def _check_criterion(criterion) -> None:
+    if not isinstance(criterion, SelectionCriterion):
+        raise ValueError(f"criterion {criterion!r} is not a SelectionCriterion")
 
 
 def _check_block(block, dico: TrigDictionary) -> np.ndarray:
@@ -178,10 +189,13 @@ def init_block_state(
     """Fresh state of one block, with its first candidate selected.
 
     ``res_ip`` is the block's ``(2M, L)`` panel if the caller has already
-    computed it; otherwise it is computed here.  A silent block, whose
+    computed it, from a block that ``_check_block`` passed; otherwise the
+    block is checked and its panel computed here.  A silent block, whose
     every gain is zero, starts saturated.
     """
-    block = _check_block(block, dico)
+    _check_criterion(criterion)
+    if res_ip is None:
+        block = _check_block(block, dico)
     n_atoms = dico.num_atoms
     silent = not block.any()
     if silent:
@@ -197,17 +211,13 @@ def init_block_state(
         criterion=criterion,
         blocked=np.zeros(n_atoms, dtype=bool),
     )
-    if silent:
-        state.saturated = True
-    else:
+    if not silent:
         select_candidate(state, dico)
     return state
 
 
 def _saturate(state: BlockState) -> None:
-    state.candidate = None
-    state.gain = -np.inf
-    state.saturated = True
+    state.candidate, state.gain = None, -np.inf
 
 
 def select_candidate(state: BlockState, dico: TrigDictionary) -> None:
@@ -219,8 +229,6 @@ def select_candidate(state: BlockState, dico: TrigDictionary) -> None:
     rank, or with no atom left, saturates.  Every array is a temporary of
     the call, so concurrent pursuits share nothing.
     """
-    if state.saturated:
-        return
     # the rank min(N_b, 2M) is N_b: TrigDictionary refuses half_size < block_size
     if len(state.selected) >= dico.block_size:
         _saturate(state)
@@ -763,8 +771,7 @@ def _pursue_blocks(blocks, dico, criterion, stop, threads) -> PursuitResult:
         *(_finish(rec, k) for rec, k in zip(records, merge.counts)))
     atoms = AtomTable([i.size for i in indices], np.concatenate(indices),
                       np.concatenate(coefs))
-    return PursuitResult(atoms, atoms.indices.size, saturated, list(factors),
-                         np.array(energies))
+    return PursuitResult(atoms, saturated, list(factors), np.array(energies))
 
 
 def hbw_pursuit(
@@ -784,6 +791,7 @@ def hbw_pursuit(
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    _check_criterion(criterion)
     blocks = [_check_block(b, dico) for b in blocks]
     return _pursue_blocks(blocks, dico, criterion, _Budget(budget), threads)
 
@@ -805,6 +813,7 @@ def pursuit_to_snr(
     """
     if not np.isfinite(target_snr_db):
         raise ValueError("target SNR must be finite")
+    _check_criterion(criterion)
     blocks = [_check_block(b, dico) for b in blocks]
     energies = np.array([float(np.sum(np.square(b))) for b in blocks])
     if float(energies.sum()) <= 0:

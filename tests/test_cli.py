@@ -248,7 +248,7 @@ def test_compare_rejects_length_mismatch(wav_in, tmp_path, rng):
 
 # --- exit codes through main() ----------------------------------------------
 
-def test_main_usage_errors_exit_2(tmp_path, wav_in):
+def test_main_usage_errors_exit_2(tmp_path, wav_in, monkeypatch):
     out = tmp_path / "o.tdc"
     assert main(["encode", "--in", str(wav_in), "--out", str(out)]) == 2
     assert (
@@ -262,6 +262,59 @@ def test_main_usage_errors_exit_2(tmp_path, wav_in):
     assert main(["encode", "--in", str(wav_in), "--out", str(out),
                  "--snr", "30", "--overshoot", "3"]) == 2
     assert main(["bogus"]) == 2
+    # non-finite settings are refused before the WAV is read
+    monkeypatch.setattr("tdcodec.container.read_wav", _not_read)
+    for flags in (["--atoms", "500", "--delta", "inf"], ["--atoms", "500", "--delta", "nan"],
+                  ["--snr", "nan"], ["--snr", "inf"]):
+        assert main(["encode", "--in", str(wav_in), "--out", str(out), *flags]) == 2
+
+
+def _not_read(path):
+    raise AssertionError("the WAV was read")
+
+
+def test_encode_flags_parse_into_the_config(monkeypatch):
+    from dataclasses import fields
+
+    from tdcodec import cli
+
+    built = []
+    monkeypatch.setattr(cli, "cmd_encode", built.append)
+    assert main(["encode", "--in", "a.wav", "--out", "b.tdc", "--snr", "33"]) == 0
+    assert built == [EncodeConfig("a.wav", "b.tdc", target_snr_db=33.0)]
+    assert main(["encode", "--in", "a.wav", "--out", "b.tdc", "--atoms", "9",
+                 "--delta", "0.5", "--block", "256", "--redundancy", "2",
+                 "--criterion", "somp", "--threads", "3"]) == 0
+    assert built[1] == EncodeConfig("a.wav", "b.tdc", block_size=256, redundancy=2,
+                                    criterion=tdcodec.SelectionCriterion.SOMP,
+                                    delta=0.5, budget=9, threads=3)
+    # every EncodeConfig field has exactly one encode flag, and no flag a default
+    encode_parser = cli._build_parser()._subparsers._group_actions[0].choices["encode"]
+    flags = [a for a in encode_parser._actions if a.dest != "help"]
+    assert sorted(a.dest for a in flags) == sorted(f.name for f in fields(EncodeConfig))
+    assert all(len(a.option_strings) == 1 for a in flags)
+
+
+def test_encode_help_lists_the_criteria(capsys):
+    assert main(["encode", "--help"]) == 0
+    assert "--criterion {omp,oomp,somp}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("criterion", ["oomp", "bogus"])
+def test_encode_refuses_a_criterion_that_is_not_a_member(rng, monkeypatch, criterion):
+    # select_candidate would score either as MMV-OMP, into the MMV-OMP file
+    from tdcodec import cli
+
+    def pursued(*args, **kwargs):
+        raise AssertionError("pursued")
+
+    monkeypatch.setattr(cli, "pursuit_to_snr", pursued)
+    monkeypatch.setattr(cli, "hbw_pursuit", pursued)
+    signal = MultichannelSignal(0.3 * rng.normal(size=(300, 2)), 8000)
+    for mode in ({"target_snr_db": 30.0}, {"budget": 40}):
+        cfg = EncodeConfig(block_size=NB, criterion=criterion, **mode)
+        with pytest.raises(UsageError, match="not a SelectionCriterion"):
+            tdcodec.encode(signal, cfg)
 
 
 def test_main_happy_paths_exit_0(tmp_path, wav_in, capsys):

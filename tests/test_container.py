@@ -275,6 +275,25 @@ def test_tdc_roundtrip_recovers_everything(rng):
     assert np.array_equal(back.levels, qset.levels)
 
 
+def test_read_tdc_returns_the_header_that_write_tdc_checked(monkeypatch, rng):
+    from tdcodec import container
+
+    checked = []
+    real = container._check_header
+
+    def check(header, index_bound):
+        checked.append(header)
+        real(header, index_bound)
+
+    monkeypatch.setattr(container, "_check_header", check)
+    blob = write_tdc(make_qset(rng, channels=3), sample_rate=44100, original_length=40,
+                     block_size=16, half_size=32)
+    header, _ = read_tdc(blob)
+    assert len(checked) == 2 and checked[1] is header
+    assert header == checked[0]
+    assert len(header.stream_records) == 7
+
+
 def test_tdc_bytes_are_deterministic(rng):
     qset = make_qset(rng)
     kw = dict(sample_rate=44100, original_length=40, block_size=16, half_size=32)

@@ -396,6 +396,49 @@ def test_pursuits_refuse_blocks_that_are_not_finite_n_b_by_l(rng, bad):
             run()
 
 
+def test_a_pursuit_checks_and_initializes_each_block_once(rng, monkeypatch):
+    d = TrigDictionary(16, 32)
+    blocks = random_blocks(rng, 5, 16, 2)
+    calls = []
+
+    def counted(name):
+        real = getattr(pursuit, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("_check_block", "init_block_state"):
+        monkeypatch.setattr(pursuit, name, counted(name))
+    for run in (lambda: hbw_pursuit(blocks, d, 12), lambda: pursuit_to_snr(blocks, d, 20.0)):
+        calls.clear()
+        run()
+        assert sorted(calls) == ["_check_block"] * 5 + ["init_block_state"] * 5
+
+
+@pytest.mark.parametrize("bad", ["nan", "oomp", "bogus"])
+def test_pursuits_refuse_bad_input_before_any_block_is_pursued(rng, monkeypatch, bad):
+    # select_candidate would score a criterion that is not a member as MMV-OMP
+    def pursued(*args, **kwargs):
+        raise AssertionError("pursued")
+
+    monkeypatch.setattr(pursuit, "_pursue_blocks", pursued)
+    d = TrigDictionary(16, 32)
+    blocks = random_blocks(rng, 4, 16, 2)
+    criterion = OOMP
+    if bad == "nan":
+        blocks[2][5, 0] = math.nan
+    else:
+        criterion = bad
+    match = "must be finite" if bad == "nan" else "is not a SelectionCriterion"
+    for run in (lambda: hbw_pursuit(blocks, d, 12, criterion, threads=2),
+                lambda: pursuit_to_snr(blocks, d, 20.0, criterion, threads=2),
+                lambda: init_block_state(blocks[2], d, criterion)):
+        with pytest.raises(ValueError, match=match):
+            run()
+
+
 @pytest.mark.parametrize("channels", [1, 6])
 def test_pursuit_leaves_the_callers_blocks_unchanged(rng, channels):
     # the residual is a channel-major copy; a mono (N_b, 1) block is
@@ -449,7 +492,7 @@ def _assert_holds_its_next_candidate(state, dico):
     import copy
 
     again = copy.deepcopy(state)
-    again.candidate, again.gain, again.saturated = None, -np.inf, False
+    again.candidate, again.gain = None, -np.inf
     select_candidate(again, dico)
     assert (state.candidate, state.gain, state.saturated) == (
         again.candidate, again.gain, again.saturated)

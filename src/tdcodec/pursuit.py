@@ -93,7 +93,6 @@ __all__ = [
 ]
 
 DEPENDENCY_FLOOR = 1e-10   # atoms with 1 - S_n at or below this are in-span
-ORTHO_TOL = 1e-10
 REORTHO_NORM = 1 / math.sqrt(2)   # a first pass leaving |w| at or below this takes a second
 REFRESH_INTERVAL = 32
 INITIAL_CAPACITY = 8       # rows of ``w`` before the first doubling
@@ -190,18 +189,14 @@ def init_block_state(
 
     ``res_ip`` is the block's ``(2M, L)`` panel if the caller has already
     computed it, from a block that ``_check_block`` passed; otherwise the
-    block is checked and its panel computed here.  A silent block, whose
-    every gain is zero, starts saturated.
+    block is checked and its panel computed here.  A silent block has no
+    atom that reduces its residual, so it starts saturated.
     """
     _check_criterion(criterion)
     if res_ip is None:
         block = _check_block(block, dico)
-    n_atoms = dico.num_atoms
-    silent = not block.any()
-    if silent:
-        res_ip = np.zeros((n_atoms, block.shape[1]), order="F")
-    elif res_ip is None:
         res_ip = _panel(dico, block)
+    n_atoms = dico.num_atoms
     state = BlockState(
         block=block,
         # a copy always: np.asfortranarray would alias a mono block
@@ -211,8 +206,7 @@ def init_block_state(
         criterion=criterion,
         blocked=np.zeros(n_atoms, dtype=bool),
     )
-    if not silent:
-        select_candidate(state, dico)
+    select_candidate(state, dico)
     return state
 
 
@@ -226,8 +220,8 @@ def select_candidate(state: BlockState, dico: TrigDictionary) -> None:
     The candidate's ranking gain is the residual-energy drop its
     acceptance would realize, which is the quantity the block ranker
     compares across blocks regardless of criterion.  A block at full
-    rank, or with no atom left, saturates.  Every array is a temporary of
-    the call, so concurrent pursuits share nothing.
+    rank, or with no free atom that cuts its residual, saturates.  Every
+    array is a temporary of the call, so concurrent pursuits share nothing.
     """
     # the rank min(N_b, 2M) is N_b: TrigDictionary refuses half_size < block_size
     if len(state.selected) >= dico.block_size:
@@ -245,7 +239,7 @@ def select_candidate(state: BlockState, dico: TrigDictionary) -> None:
         scores = np.abs(res_ip).sum(axis=1) if criterion is SelectionCriterion.SOMP else sq
         scores = np.where(free, scores, -np.inf)
     n0 = int(np.argmax(scores))   # first max: smallest index wins ties
-    if scores[n0] == -np.inf:     # every atom selected or dependent
+    if not scores[n0] > 0:        # no free atom reduces the residual
         _saturate(state)
         return
     state.gain = float(sq[n0] / denom[n0])
@@ -291,7 +285,7 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
     atom has unit norm, so when one Gram-Schmidt pass leaves more than
     ``REORTHO_NORM`` of it, little cancelled and the result is already
     orthogonal to working accuracy.  Otherwise a second pass follows, and
-    a third if the second still leaves products above ``ORTHO_TOL``.
+    two passes suffice.
     """
     if state.candidate is None:
         raise RuntimeError("no candidate to accept")
@@ -307,12 +301,6 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
         w -= basis.T @ again
         proj += again
         norm = math.sqrt(w @ w)
-        if norm > 0:
-            again = basis @ w
-            if np.abs(again).max() > ORTHO_TOL * norm:
-                w -= basis.T @ again
-                proj += again
-                norm = math.sqrt(w @ w)
     if norm <= DEPENDENCY_FLOOR:
         state.blocked[n - 1] = True
         select_candidate(state, dico)

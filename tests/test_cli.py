@@ -216,9 +216,16 @@ def test_info_reports_header_fields(wav_in, tmp_path):
     assert header.total_atoms == 30
     assert "blocks:" in text and "mean atoms/block" in text
     assert f"{header.delta:.9g}" in text
-    # 30 atoms take one rANS lane per coded stream
-    assert "stream index: rANS, 1 lane, bit-length buckets + bypass bits" in text
-    assert "stream sign[0]: packed bits" in text
+    # 30 atoms take one rANS lane per coded stream, in the container's order
+    rans = "rANS, 1 lane, bit-length buckets + bypass bits"
+    names = ["index", "coeff[0]", "coeff[1]", "sign[0]", "sign[1]"]
+    codings = [rans] * 3 + ["packed bits"] * 2
+    streams = [line for line in text.splitlines() if line.startswith("stream ")]
+    assert streams == [
+        f"stream {name}: {coding}, bound {rec.alphabet_bound}, "
+        f"{rec.symbol_count} symbols, {rec.byte_length} bytes"
+        for name, coding, rec in zip(names, codings, header.stream_records, strict=True)
+    ]
 
 
 def test_compare_self_reports_sentinel_and_decodes_tdc(wav_in, tmp_path):
@@ -315,6 +322,36 @@ def test_encode_refuses_a_criterion_that_is_not_a_member(rng, monkeypatch, crite
         cfg = EncodeConfig(block_size=NB, criterion=criterion, **mode)
         with pytest.raises(UsageError, match="not a SelectionCriterion"):
             tdcodec.encode(signal, cfg)
+
+
+@pytest.mark.parametrize("settings, what", [
+    ({"budget": 40.5}, "budget must be an int"),
+    ({"budget": True}, "budget must be an int"),
+    ({"budget": 40, "redundancy": 4.0}, "redundancy must be an int"),
+    ({"budget": 40, "block_size": 256.0}, "block_size must be an int"),
+    ({"budget": 40, "threads": 1.5}, "threads must be an int"),
+    ({"budget": 40, "threads": None}, "threads must be an int"),
+    ({"budget": 40, "delta": "0.5"}, "delta must be a real number"),
+    ({"target_snr_db": "20"}, "target_snr_db must be a real number"),
+    ({"target_snr_db": True}, "target_snr_db must be a real number"),
+], ids=["budget-float", "budget-bool", "redundancy-float", "block-float", "threads-float",
+        "threads-none", "delta-str", "snr-str", "snr-bool"])
+def test_encode_refuses_settings_of_the_wrong_type(rng, monkeypatch, settings, what):
+    # argparse parses these flags as int and float; the library takes any value
+    from tdcodec import cli
+
+    def pursued(*args, **kwargs):
+        raise AssertionError("pursued")
+
+    monkeypatch.setattr(cli, "pursuit_to_snr", pursued)
+    monkeypatch.setattr(cli, "hbw_pursuit", pursued)
+    monkeypatch.setattr("tdcodec.container.read_wav", _not_read)
+    signal = MultichannelSignal(0.3 * rng.normal(size=(2000, 2)), 8000)
+    settings = {"block_size": 256, **settings}
+    with pytest.raises(UsageError, match=what):
+        tdcodec.encode(signal, EncodeConfig(**settings))
+    with pytest.raises(UsageError, match=what):
+        cmd_encode(EncodeConfig("x.wav", "y.tdc", **settings))
 
 
 def test_main_happy_paths_exit_0(tmp_path, wav_in, capsys):

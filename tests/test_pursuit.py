@@ -105,10 +105,13 @@ def test_rank_blocks_on_gains_vector():
     assert rank_blocks([-np.inf, 0.0]) == 1
 
 
-def test_rank_blocks_returns_none_at_global_saturation():
+@pytest.mark.parametrize("criterion", list(SelectionCriterion))
+def test_rank_blocks_returns_none_at_global_saturation(criterion):
+    # a silent block has no atom that reduces its residual
     d = TrigDictionary(8, 16)
-    st = init_block_state(np.zeros((8, 2)), d, OOMP)
+    st = init_block_state(np.zeros((8, 2)), d, criterion)
     assert st.saturated
+    assert (st.candidate, st.gain) == (None, -np.inf)
     assert rank_blocks([st.gain]) is None
 
 
@@ -339,10 +342,11 @@ def test_pursuit_is_deterministic_across_threads(rng):
     assert np.array_equal(a.atoms.values, b.atoms.values)
 
 
+@pytest.mark.parametrize("criterion", list(SelectionCriterion))
 @pytest.mark.parametrize("chunk_bins", [1, 100, 1 << 16])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_batched_initial_panels_match_one_block_states(rng, monkeypatch, workers,
-                                                       chunk_bins):
+                                                       chunk_bins, criterion):
     # each worker takes blocks w, w + P, ... and computes their initial
     # panels from chunked batch FFTs; every panel must equal, bit for bit,
     # the one a block computes on its own, so the first candidates and
@@ -353,16 +357,18 @@ def test_batched_initial_panels_match_one_block_states(rng, monkeypatch, workers
     blocks[4] = np.zeros((16, 3))    # silent
     for w in range(workers):
         shard = blocks[w::workers]
-        states = list(pursuit._init_states(shard, d, OOMP))
+        states = list(pursuit._init_states(shard, d, criterion))
         assert len(states) == len(shard)
         for st, b in zip(states, shard):
-            alone = init_block_state(b, d, OOMP)
+            alone = init_block_state(b, d, criterion)
             assert np.array_equal(st.res_ip, alone.res_ip)
             assert st.res_ip.flags.f_contiguous
             assert st.candidate == alone.candidate
             assert st.gain == alone.gain
             assert st.saturated == alone.saturated
             assert st.saturated == (b is blocks[4])
+            if st.saturated:
+                assert (st.candidate, st.gain) == (None, -np.inf)
 
 
 def test_panel_refresh_keeps_long_runs_healthy(rng):
@@ -572,20 +578,44 @@ def test_reorthogonalization_runs_only_when_the_first_pass_cancels(rng, monkeypa
     assert not all(np.array_equal(g, o) for g, o in zip(got, once))
 
 
+def _clipped_tones(nb, channels):
+    """A block of two tones per channel, clipped to +-1: nearly dependent atoms.
+
+    The tone pairs of ``tools/tdc_digests.py``'s high-atoms clip, with as
+    many periods in ``nb`` samples as in its 1024-sample blocks at 44.1 kHz.
+    """
+    t = np.arange(nb) * (1024 / nb) / 44100
+    pairs = ((40.0, 440.0, 660.0), (25.0, 330.0, 550.0))
+    tones = []
+    for j in range(channels):   # the pairs in turn, each channel at its own phase
+        a, f1, f2 = pairs[j % 2]
+        tones.append(a * (np.sin(2 * np.pi * f1 * t + j) + np.sin(2 * np.pi * f2 * t + j)))
+    return np.clip(np.column_stack(tones), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("criterion", list(SelectionCriterion))
+@pytest.mark.parametrize("source", ["noise", "clipped-tones"])
 @pytest.mark.parametrize("nb, channels", [(8, 1), (32, 2), (64, 6)])
-def test_invariants_hold_at_full_rank_with_conditional_reorthogonalization(rng, nb,
-                                                                          channels):
+def test_invariants_hold_at_full_rank_with_conditional_reorthogonalization(
+        rng, nb, channels, source, criterion):
     # near full rank most atoms lie nearly in the span and take the second
-    # pass; the invariants keep their default bounds (1e-10 and 1e-8)
+    # (and last) pass; the invariants keep their default bounds (1e-10 and 1e-8)
     d = TrigDictionary(nb, 2 * nb)
-    block = rng.normal(size=(nb, channels))
-    state = init_block_state(block, d, OOMP)
+    if source == "noise":
+        block = rng.normal(size=(nb, channels))
+    else:
+        block = _clipped_tones(nb, channels)
+    state = init_block_state(block, d, criterion)
     first_pass = []
     while not state.saturated:
         first_pass.append(_first_pass_norm(state, d, state.candidate))
         accept_candidate(state, d)
     assert state.atom_count == nb
-    assert min(first_pass) <= pursuit.REORTHO_NORM < max(first_pass)
+    # OOMP divides by 1 - S_n, so it favours atoms near the span, which
+    # take the second pass; SOMP and MMV-OMP need not take one
+    if criterion is OOMP:
+        assert min(first_pass) <= pursuit.REORTHO_NORM
+    assert pursuit.REORTHO_NORM < max(first_pass)
     assert_state_invariants(state, d, block)
 
 

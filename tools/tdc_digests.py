@@ -5,15 +5,24 @@ Usage:
 
 Each line is ``label sha256 bytes atoms wav_sha256``: the last field
 hashes the WAV that ``tdcodec decode`` writes from the file, so one
-``diff`` checks the writer and the reader.  The files are both
-``perfbench`` workloads at seeds 7, 11 and 101 and ``--threads`` 1, 2
-and 3, plus the dense clip (``harmonic_signal(0)``, stereo, 10 s,
-``--snr 30``) and its first 3 s at ``--criterion somp`` and ``omp``,
-which no workload selects by.  The inputs come from ``perfbench/corpus.py`` and the
-workload settings from ``perfbench/run.py``, both only read.  Run it in
-two checkouts and ``diff`` the outputs to check a byte-identity claim;
-``--root`` encodes with another checkout's ``src/`` and ``perfbench/``,
-for one that predates this tool.
+``diff`` checks the writer and the reader.  The files are:
+
+* both ``perfbench`` workloads at seeds 7, 11 and 101 and ``--threads``
+  1, 2 and 3;
+* the dense clip (``harmonic_signal(0)``, stereo, 10 s, ``--snr 30``),
+  and its first 3 s at ``--criterion somp`` and ``omp``, which no
+  workload selects by;
+* the high-atoms clip, 0.25 s of stereo at ``--snr 60``: left
+  ``40 sin(2 pi 440 t) + 40 sin(2 pi 660 t)``, right
+  ``25 sin(2 pi 330 t) + 25 sin(2 pi 550 t)``, clipped to +-1.  It takes
+  about 880 atoms a block, the paper's high-quality range, where a third
+  of the pursuit's steps take a second Gram-Schmidt pass.
+
+The clips come from ``perfbench/corpus.py`` (the high-atoms one only
+takes its rate) and the settings from ``perfbench/run.py``, both only
+read.  Run it in two checkouts and ``diff`` the outputs to check a
+byte-identity claim; ``--root`` encodes with another checkout's ``src/``
+and ``perfbench/``, for one that predates this tool.
 """
 
 from __future__ import annotations
@@ -25,6 +34,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 SEEDS = (7, 11, 101)
 THREADS = (1, 2, 3)
 DENSE = {"seed": 0, "seconds": 10, "target_snr_db": 30.0}
@@ -32,6 +43,9 @@ DENSE = {"seed": 0, "seconds": 10, "target_snr_db": 30.0}
 # checkout's enum shares
 CRITERIA = (("somp", "SOMP"), ("omp", "MMV_OMP"))
 CRITERIA_SECONDS = 3
+HIGH_ATOMS = {"seconds": 0.25, "target_snr_db": 60.0,
+              # (amplitude, Hz, Hz) of each channel's tone pair
+              "tones": ((40.0, 440.0, 660.0), (25.0, 330.0, 550.0))}
 
 
 def main(argv=None) -> int:
@@ -60,6 +74,11 @@ def main(argv=None) -> int:
         jobs.append((f"dense-seed0-3s-{label}", short,
                      {"target_snr_db": DENSE["target_snr_db"],
                       "criterion": cli.SelectionCriterion[member]}))
+    t = np.arange(round(HIGH_ATOMS["seconds"] * corpus.RATE)) / corpus.RATE
+    tones = np.column_stack([a * (np.sin(2 * np.pi * f1 * t) + np.sin(2 * np.pi * f2 * t))
+                             for a, f1, f2 in HIGH_ATOMS["tones"]])
+    jobs.append(("high-atoms", np.clip(tones, -1.0, 1.0),
+                 {"target_snr_db": HIGH_ATOMS["target_snr_db"]}))
 
     with tempfile.TemporaryDirectory(prefix="tdc_digests-") as tmp:
         wav, tdc, out = (Path(tmp) / name for name in ("in.wav", "out.tdc", "out.wav"))

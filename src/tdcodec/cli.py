@@ -2,8 +2,8 @@
 info, compare.  ``encode(signal, cfg)`` returns a ``.tdc`` file's bytes and a
 ``QualityReport``, ``decode(data)`` a ``MultichannelSignal``; neither opens a file.
 
-Exit codes: 0 success, 2 usage error, 3 I/O or format error, 4 target
-SNR unreachable.
+Exit codes: 0 success, 2 usage error, 3 I/O or format error or not enough
+memory, 4 target SNR unreachable.
 
 The ``encode`` flags parse into an ``EncodeConfig``, one field each (``--in``
 is ``input_path``, ``--snr`` ``target_snr_db``, ``--atoms`` ``budget``,
@@ -513,6 +513,9 @@ def main(argv=None) -> int:
         return 4
     except (container.ContainerError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: not enough memory to {command}", file=sys.stderr)
         return 3
 
 

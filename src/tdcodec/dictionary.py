@@ -85,8 +85,8 @@ class TrigDictionary:
         # Phase rotation that turns FFT bins into half-sample trig sums.
         k = np.arange(half_size + 1)
         self._rot = np.exp(-1j * np.pi * k / (2 * half_size))
-        # 2i - 1 for samples i = 1..N_b: the atoms' half-sample phase steps
-        self._odd = 2 * np.arange(1, block_size + 1) - 1
+        # 2i - 1 for samples i = 1..N_b: the atoms' phase steps, as floats exact below 2^53
+        self._odd = 2.0 * np.arange(1, block_size + 1) - 1.0
 
     @staticmethod
     def _cos_norms(nb: int, m: int) -> np.ndarray:
@@ -142,8 +142,12 @@ class TrigDictionary:
         if not 1 <= n <= 2 * m:
             raise ValueError(f"atom index out of range 1..{2 * m}")
         if n <= m:
-            return np.cos(np.pi * ((n - 1) * self._odd) / (2 * m)) / self.w_cos[n - 1]
-        return np.sin(np.pi * ((n - m) * self._odd) / (2 * m)) / self.w_sin[n - m - 1]
+            v, trig, norm = self._odd * (n - 1), np.cos, self.w_cos[n - 1]
+        else:
+            v, trig, norm = self._odd * (n - m), np.sin, self.w_sin[n - m - 1]
+        v *= np.pi   # in place throughout: one allocation per atom
+        v /= 2 * m
+        return np.divide(trig(v, out=v), norm, out=v)
 
     def all_inner_products(self, y) -> np.ndarray:
         """Inner products of ``y`` against all ``2M`` atoms.

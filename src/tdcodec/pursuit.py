@@ -7,7 +7,10 @@ whose candidate yields the largest drop of the total residual energy,
 the lower block index on a tie (the hierarchized block-wise strategy).
 A step is one ``accept_candidate``, which ends by selecting the block's
 next candidate, as ``init_block_state`` selects its first: through
-``select_candidate``, the one place that picks an atom.
+``select_candidate``, the one place that picks an atom.  One rule
+excludes an atom: OOMP's ``1 - S_n <= DEPENDENCY_FLOOR``, as ``S_n =
+sum_i |<d_n, w_i>|^2`` is 1 just when atom ``n`` is in the span.  A kept
+atom, or one found dependent, gets ``S_n = 1``; sums only grow.
 
 The selected subspace of a block is tracked by Gram-Schmidt with
 conditional re-orthogonalization: a new atom gets a second pass only when
@@ -115,13 +118,12 @@ class BlockState:
     block: np.ndarray                 # (N_b, L) original samples
     residual: np.ndarray              # (N_b, L), channel-major (Fortran order)
     res_ip: np.ndarray                # (2M, L) atom/residual inner products
-    s_sums: np.ndarray                # (2M,) accumulated |<d_n, w_i>|^2
+    s_sums: np.ndarray                # (2M,) S_n; exactly 1.0 once n is kept or rejected
     criterion: SelectionCriterion
     selected: list[int] = field(default_factory=list)
     w: np.ndarray = None              # (capacity, N_b), rows :k orthonormal
     r: np.ndarray = None              # (capacity, capacity), r[i, k] = <w_i, d_k>
     wf: np.ndarray = None             # (capacity, L), wf[i] = <w_i, block>
-    blocked: np.ndarray = None        # selected or numerically dependent
     candidate: int | None = None      # 1-based atom index of the next pick; None: saturated
     gain: float = -np.inf             # candidate's gain; -inf once saturated
 
@@ -196,15 +198,13 @@ def init_block_state(
     if res_ip is None:
         block = _check_block(block, dico)
         res_ip = _panel(dico, block)
-    n_atoms = dico.num_atoms
     state = BlockState(
         block=block,
         # a copy always: np.asfortranarray would alias a mono block
         residual=np.array(block, order="F"),
         res_ip=res_ip,
-        s_sums=np.zeros(n_atoms),
+        s_sums=np.zeros(dico.num_atoms),
         criterion=criterion,
-        blocked=np.zeros(n_atoms, dtype=bool),
     )
     select_candidate(state, dico)
     return state
@@ -230,8 +230,7 @@ def select_candidate(state: BlockState, dico: TrigDictionary) -> None:
     criterion, res_ip = state.criterion, state.res_ip
     sq = np.einsum("nj,nj->n", res_ip, res_ip)
     denom = 1.0 - state.s_sums
-    state.blocked |= denom <= DEPENDENCY_FLOOR
-    free = ~state.blocked
+    free = denom > DEPENDENCY_FLOOR
     if criterion is SelectionCriterion.OOMPML:
         scores = np.divide(sq, denom, out=np.full_like(sq, -np.inf), where=free)
     else:
@@ -278,8 +277,9 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
     """One step of the block: take in its candidate atom, then select the next.
 
     Returns False when the atom turned out numerically dependent; it is
-    then excluded instead.  Either way the block ends the step with its
-    next candidate and gain, or saturated, and the caller only re-ranks.
+    then excluded instead.  Either way the atom ends the step with
+    ``S_n = 1``, out of selection, and the block with its next candidate
+    and gain, or saturated, so the caller only re-ranks.
 
     Re-orthogonalization is conditional (see the module docstring): the
     atom has unit norm, so when one Gram-Schmidt pass leaves more than
@@ -302,7 +302,7 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
         proj += again
         norm = math.sqrt(w @ w)
     if norm <= DEPENDENCY_FLOOR:
-        state.blocked[n - 1] = True
+        state.s_sums[n - 1] = 1.0
         select_candidate(state, dico)
         return False
 
@@ -316,7 +316,6 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
     # the rows multiplied alone, and truncation must reproduce these
     state.wf[k] = w_unit @ state.block
     state.selected.append(n)
-    state.blocked[n - 1] = True
 
     panel = dico.all_inner_products(w_unit)
     # residual and res_ip are channel-major: their transposes hold one
@@ -328,6 +327,7 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
     by_channel -= alpha[:, None] * panel
     panel *= panel
     state.s_sums += panel
+    state.s_sums[n - 1] = 1.0          # the sum is 1 up to rounding: make it exact
     if len(state.selected) % REFRESH_INTERVAL == 0:
         state.res_ip = _panel(dico, state.residual)
     select_candidate(state, dico)

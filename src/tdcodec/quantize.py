@@ -45,14 +45,6 @@ class QuantizedBlockSet:
     levels: np.ndarray         # (K, L) signed levels, in index-stream order
 
     @property
-    def channel_count(self) -> int:
-        return self.levels.shape[1]
-
-    @property
-    def total_atoms(self) -> int:
-        return len(self.levels)
-
-    @property
     def block_count(self) -> int:
         return int(np.count_nonzero(np.asarray(self.index_stream) == 0)) + 1
 

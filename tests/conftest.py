@@ -61,3 +61,5 @@ def assert_state_invariants(state, dico, block, *, ortho_tol=1e-10, bior_tol=1e-
 
     sn = state.s_sums
     assert sn.min() >= -1e-12 and sn.max() <= 1 + 1e-8
+    # a kept atom's S_n is set to exactly 1, and later rows do not move it
+    assert (sn[np.asarray(state.selected) - 1] == 1.0).all()

@@ -28,6 +28,16 @@ def sin_norm2_direct(nb: int, m: int, n: int) -> float:
     return float(v @ v)
 
 
+def atom_integer_phase(dico, n: int) -> np.ndarray:
+    """Atom ``n`` by the closed form on integer phase steps ``2i - 1``: the
+    products with the atom index stay integers until ``pi`` scales them."""
+    m = dico.half_size
+    odd = 2 * np.arange(1, dico.block_size + 1) - 1
+    if n <= m:
+        return np.cos(np.pi * ((n - 1) * odd) / (2 * m)) / dico.w_cos[n - 1]
+    return np.sin(np.pi * ((n - m) * odd) / (2 * m)) / dico.w_sin[n - m - 1]
+
+
 def lstsq_fit(dico, indices, block):
     """Least-squares coefficients and residual for a fixed atom set."""
     block = np.asarray(block, float)
@@ -148,12 +158,12 @@ def parse_streams_loop(qset):
             segments.append([])
         else:
             segments[-1].append(v)
-    out, offset = [], 0
+    out, offset, channels = [], 0, qset.levels.shape[1]
     for seg in segments:
         k = len(seg)
-        values = np.empty((k, qset.channel_count), dtype=np.int64)
+        values = np.empty((k, channels), dtype=np.int64)
         for i in range(k):
-            for j in range(qset.channel_count):
+            for j in range(channels):
                 values[i, j] = qset.levels[offset + i][j]
         out.append((np.cumsum(np.asarray(seg, dtype=np.int64)), values))
         offset += k

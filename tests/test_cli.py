@@ -376,6 +376,22 @@ def test_main_io_errors_exit_3(tmp_path, wav_in):
     assert main(["info", str(corrupt)]) == 3
 
 
+def test_running_out_of_memory_exits_3_without_a_traceback(tmp_path, wav_in,
+                                                          monkeypatch, capsys):
+    out, _ = encode(wav_in, tmp_path, budget=5, delta=0.1)
+    dec = tmp_path / "d.wav"
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(tdcodec.cli, "_reconstruct", out_of_memory)
+    assert main(["decode", "--in", str(out), "--out", str(dec)]) == 3
+    err = capsys.readouterr().err
+    assert "error: not enough memory to decode" in err
+    assert "Traceback" not in err
+    assert not dec.exists()
+
+
 def test_a_wav_with_sample_rate_zero_is_refused_before_encoding(tmp_path, wav_in,
                                                                  capsys):
     # refused as the WAV is read, so no pursuit runs and no file is written

@@ -268,7 +268,7 @@ def test_tdc_roundtrip_recovers_everything(rng):
     header, back = read_tdc(blob)
     assert header.sample_rate == 44100
     assert header.block_count == qset.block_count
-    assert header.total_atoms == qset.total_atoms
+    assert header.total_atoms == len(qset.levels)
     assert header.delta == qset.delta
     assert np.array_equal(back.index_stream, qset.index_stream)
     assert back.levels.dtype == np.int64
@@ -809,9 +809,8 @@ def test_write_tdc_refuses_or_read_tdc_returns_what_it_was_given(case):
     assert np.array_equal(back.levels, qset.levels)
     assert back.delta == qset.delta
     assert {name: getattr(header, name) for name in fields} == fields
-    assert (header.delta, header.channel_count, header.block_count,
-            header.total_atoms) == (qset.delta, qset.channel_count, qset.block_count,
-                                    qset.total_atoms)
+    assert (header.delta, header.block_count) == (qset.delta, qset.block_count)
+    assert (header.total_atoms, header.channel_count) == qset.levels.shape
 
 
 def _sign_byte_length_plus_one(blob: bytearray):

@@ -9,6 +9,7 @@ from tdcodec.dictionary import synthesize_block
 
 from conftest import atom_table
 from oracles import (
+    atom_integer_phase,
     atoms_synthesis,
     cos_norm2_direct,
     direct_inner_products,
@@ -25,6 +26,13 @@ def test_default_geometry_has_redundancy_four():
 def test_default_half_size_is_twice_block_size():
     d = TrigDictionary(64)
     assert d.half_size == 128
+
+
+@pytest.mark.parametrize("half_size", [32, 17])
+def test_atom_has_the_bits_of_the_integer_phase_formula(half_size):
+    d = TrigDictionary(16, half_size)
+    for n in range(1, d.num_atoms + 1):
+        assert np.array_equal(d.atom(n), atom_integer_phase(d, n)), n
 
 
 def test_first_cosine_normalization_is_sqrt_block_size():

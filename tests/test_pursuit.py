@@ -51,7 +51,6 @@ def _fabricated_state(dico, ip_rows, criterion=OOMP):
         res_ip=res_ip,
         s_sums=np.zeros(n_atoms),
         criterion=criterion,
-        blocked=np.zeros(n_atoms, dtype=bool),
     )
 
 
@@ -179,20 +178,56 @@ def test_dependency_rejection_updates_the_gain(rng):
     assert accept_candidate(state, d)
     first = state.selected[0]
     # an atom already in the span is numerically dependent: rejected,
-    # excluded, and the block moves on to a fresh candidate
+    # excluded with S_n = 1 whatever its sum read, and the block moves on
+    # to a fresh candidate
     state.candidate, state.gain = first, 1.0
+    state.s_sums[first - 1] = 0.0
     assert not accept_candidate(state, d)
-    assert state.blocked[first - 1]
+    assert state.s_sums[first - 1] == 1.0
     assert state.candidate != first
     assert 0 < state.gain != 1.0
 
     # with nothing else left to try, the rejection leaves no candidate
-    state.blocked[:] = True
-    state.blocked[first - 1] = False
+    state.s_sums[:] = 1.0
     state.candidate, state.gain = first, 1.0
     assert not accept_candidate(state, d)
     assert state.saturated and state.candidate is None
     assert state.gain == -np.inf
+
+
+@pytest.mark.parametrize("criterion", list(SelectionCriterion))
+def test_selection_never_returns_an_atom_at_the_dependency_floor(rng, criterion):
+    floor = pursuit.DEPENDENCY_FLOOR
+    d = TrigDictionary(16, 32)
+    state = _fabricated_state(d, {}, criterion)
+    state.res_ip = rng.normal(size=state.res_ip.shape)
+    select_candidate(state, d)
+    # just above the floor an atom is free: OOMP ranks it higher still
+    first = state.candidate
+    state.s_sums[first - 1] = 1.0 - 2 * floor
+    select_candidate(state, d)
+    assert state.candidate == first
+    # at, inside and past the floor it is out, and the next best is picked
+    for s_n in (1.0 - floor / 2, 1.0, 1.0 + 1e-12):
+        state.s_sums[state.candidate - 1] = s_n
+        assert 1.0 - s_n <= floor
+        denom = 1.0 - state.s_sums
+        free = denom > floor
+        select_candidate(state, d)
+        assert free[state.candidate - 1]
+        sq = np.sum(state.res_ip ** 2, axis=1)
+        scores = {SelectionCriterion.SOMP: np.abs(state.res_ip).sum(axis=1),
+                  SelectionCriterion.MMV_OMP: sq,
+                  OOMP: sq / np.where(free, denom, 1.0)}[criterion]
+        assert state.candidate == 1 + int(np.argmax(np.where(free, scores, -np.inf)))
+
+    # and at every step of a pursuit, rejections included
+    block = rng.normal(size=(16, 2))
+    state = init_block_state(block, d, criterion)
+    while not state.saturated:
+        assert 1.0 - state.s_sums[state.candidate - 1] > floor
+        accept_candidate(state, d)
+    assert_state_invariants(state, d, block)
 
 
 def test_projection_coefficient_for_generating_atom():
@@ -466,7 +501,7 @@ def test_pursuit_leaves_the_callers_blocks_unchanged(rng, channels):
 
 @pytest.mark.parametrize("criterion", list(SelectionCriterion))
 def test_first_candidate_is_the_argmax_of_the_panel_to_the_bit(rng, criterion):
-    # no atom yet: every denominator is exactly 1 and nothing is blocked, so
+    # no atom yet: every denominator is exactly 1 and every atom is free, so
     # the first pick is the argmax of the panel's energies (of its absolute
     # sums under SOMP), and its gain is that atom's energy
     d = TrigDictionary(16, 32)
@@ -525,8 +560,7 @@ def test_every_accept_leaves_the_next_candidate_in_place(rng, criterion):
     assert not accept_candidate(state, d)
     _assert_holds_its_next_candidate(state, d)
     assert state.candidate not in (None, first)
-    state.blocked[:] = True
-    state.blocked[first - 1] = False
+    state.s_sums[:] = 1.0
     state.candidate = first
     assert not accept_candidate(state, d)
     _assert_holds_its_next_candidate(state, d)
@@ -561,7 +595,7 @@ def test_reorthogonalization_runs_only_when_the_first_pass_cancels(rng, monkeypa
     eta = pursuit.REORTHO_NORM
     assert eta == pytest.approx(2**-0.5)
     norms = {n: _first_pass_norm(state, d, n) for n in range(1, d.num_atoms + 1)
-             if not state.blocked[n - 1]}
+             if 1.0 - state.s_sums[n - 1] > pursuit.DEPENDENCY_FLOOR}
     fresh = max(norms, key=norms.get)   # the most orthogonal atom to the span
     near = min(norms, key=norms.get)    # the atom nearest the span
     assert norms[fresh] > eta and norms[near] <= eta
@@ -807,10 +841,10 @@ def test_saturation_before_target_is_flagged(monkeypatch, rng):
     calls = {"accepted": 0}
 
     def exhausted_after_three(state, dico):
-        # after the third kept atom every atom is blocked, so each block
-        # saturates at its next pick
+        # after the third kept atom every atom is in the span, so each
+        # block saturates at its next pick
         if calls["accepted"] >= 3:
-            state.blocked[:] = True
+            state.s_sums[:] = 1.0
             pu.select_candidate(state, dico)
             return False
         accepted = real_accept(state, dico)
@@ -909,7 +943,7 @@ def _rejecting(rule, tally):
     def accept(state, dico):
         if rule(state, state.candidate):
             tally["rejections"] += 1
-            state.blocked[state.candidate - 1] = True
+            state.s_sums[state.candidate - 1] = 1.0
             pursuit.select_candidate(state, dico)
             return False
         return real(state, dico)

@@ -130,7 +130,7 @@ def test_parse_rebuilds_indices_by_cumulative_sum():
 def test_empty_block_segment_parses_to_no_atoms():
     qs = QuantizedBlockSet(delta=1.0, index_stream=np.array([0, 5]),
                            levels=np.array([[7]]))
-    assert qs.block_count == 2 and qs.total_atoms == 1
+    assert qs.block_count == 2 and len(qs.levels) == 1
     table = parse_streams(qs)
     assert table.counts.tolist() == [0, 1]
     assert [idx.tolist() for idx, _ in table] == [[], [5]]
@@ -230,7 +230,7 @@ def test_parse_matches_the_symbol_loop_around_empty_blocks():
         index_stream=np.array([0, 4, 1, 7, 0, 0, 2, 0]),
         levels=np.array([[1, 0], [-2, 5], [3, 6], [-4, -7]]),
     )
-    assert qs.block_count == 5 and qs.channel_count == 2
+    assert qs.block_count == 5 and qs.levels.shape[1] == 2
     got = parse_streams(qs)
     _assert_same_parse(got, parse_streams_loop(qs))
     assert [idx.tolist() for idx, _ in got] == [[], [4, 5, 12], [], [2], []]

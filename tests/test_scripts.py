@@ -2,6 +2,7 @@
 The benchmark's scripts read the codec as it is."""
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -66,3 +67,63 @@ def test_the_benchmark_reads_the_codec_as_it_is(tmp_path, rng, monkeypatch):
     assert got.tobytes() == want.tobytes()
     with spans.Tracer().installed():
         pass
+
+
+def _bench_pairs(monkeypatch):
+    import importlib
+
+    monkeypatch.setattr(sys, "path", list(sys.path))   # bench_pairs.py prepends to it
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    return importlib.import_module("bench_pairs")
+
+
+def _synthetic_run(**values):
+    """A ``perfbench/run.py`` result line with the given end-to-end values."""
+    return {"attempted": 10, "failed": 0,
+            "metrics": {name: {"unit": "u", "value": v} for name, v in values.items()}}
+
+
+def test_bench_pairs_counts_wins_and_bounds_in_each_metrics_direction(
+        tmp_path, monkeypatch):
+    bench_pairs = _bench_pairs(monkeypatch)
+    base = {"encode_s_per_audio_s": 0.04, "encode_atoms_per_s": 5000.0,
+            "kbps": 5.0, "decoded_snr_db": 33.0, "ok_rate": 1.0}
+    # the change: 30% slower encode in 9 of 10 pairs, more atoms per second
+    # in 9 of 10, 4% more kbps (inside its 5% bound), 20% less SNR
+    change = {"encode_s_per_audio_s": 0.052, "encode_atoms_per_s": 5500.0,
+              "kbps": 5.2, "decoded_snr_db": 26.4, "ok_rate": 1.0}
+    slow_pair = {"encode_s_per_audio_s": 0.039, "encode_atoms_per_s": 4900.0}
+
+    def run_once(checkout, workload):
+        side = checkout.name
+        calls[side, workload] = calls.get((side, workload), 0) + 1
+        values = dict(base) if side == "parent" else dict(change)
+        if side == "change" and calls[side, workload] == 1:
+            values.update(slow_pair)
+        machine = {"commit": side, "cpu": "synthetic"}
+        return {"machine": machine}, _synthetic_run(**values)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    parent, change_dir = tmp_path / "parent", tmp_path / "change"
+    out = tmp_path / "bench.json"
+    args = ["--parent", str(parent), "--change", str(change_dir), "--out", str(out)]
+
+    calls = {}
+    assert bench_pairs.main(args) == 0
+    got = json.loads(out.read_text())
+    assert got["claim"] is None
+    assert got["commits"] == {"parent": "parent", "change": "change"}
+    for workload, entry in got["workloads"].items():
+        assert entry["pairs"] == bench_pairs.PAIRS
+        assert entry["worse_than_bound"] == ["encode_s_per_audio_s", "decoded_snr_db"]
+
+    calls = {}
+    assert bench_pairs.main(args + ["--claim", "encode_atoms_per_s", "sparse-stereo"]) == 0
+    claim = json.loads(out.read_text())["claim"]
+    assert claim["better"] == "higher" and claim["pairs_won"] == "9/10"
+    assert claim["ratio_of_medians"] == pytest.approx(1.1)
+    calls = {}
+    assert bench_pairs.main(args + ["--claim", "encode_s_per_audio_s", "mc6-budget"]) == 0
+    claim = json.loads(out.read_text())["claim"]
+    assert claim["better"] == "lower" and claim["pairs_won"] == "1/10"
+    assert claim["median_ratio"] == pytest.approx(1.3)

@@ -3,14 +3,16 @@ info, compare.  ``encode(signal, cfg)`` returns a ``.tdc`` file's bytes and a
 ``QualityReport``, ``decode(data)`` a ``MultichannelSignal``; neither opens a file.
 
 Exit codes: 0 success, 2 usage error, 3 I/O or format error or not enough
-memory, 4 target SNR unreachable.
+memory (in this process or in a pursuit worker, at every ``--threads``),
+4 target SNR unreachable.
 
 The ``encode`` flags parse into an ``EncodeConfig``, one field each (``--in``
 is ``input_path``, ``--snr`` ``target_snr_db``, ``--atoms`` ``budget``,
 ``--block`` ``block_size``), and a flag left out keeps the field's default.
 The settings are checked before the WAV is read.
 
-``encode`` supports two termination modes.  With ``--snr`` the pursuit
+``encode`` supports two termination modes.  With ``--snr``, a positive
+target in dB (a decode of silence already reaches 0 dB), the pursuit
 runs until it overshoots the target by ``OVERSHOOT_DB`` (3 dB), then the
 quantization step is tuned by bisection on ``log delta`` until the
 decoded SNR matches the target within 0.05 dB.  With ``--atoms`` the
@@ -113,8 +115,9 @@ def _check_config(cfg: EncodeConfig):
         raise UsageError("one of --snr or --atoms is required")
     elif cfg.budget < 0:
         raise UsageError("--atoms must be >= 0")
-    if cfg.target_snr_db is not None and not math.isfinite(cfg.target_snr_db):
-        raise UsageError("--snr must be finite")
+    # a decode of silence already reaches 0 dB
+    if cfg.target_snr_db is not None and not 0 < cfg.target_snr_db < math.inf:
+        raise UsageError("--snr must be positive and finite")
     if cfg.delta is not None and not 0 < cfg.delta < math.inf:
         raise UsageError("--delta must be positive and finite")
     if not isinstance(cfg.criterion, SelectionCriterion):
@@ -173,7 +176,7 @@ class _ErrorModel:
             self.groups.append((factors, starts[qs, None] + np.arange(k)))
 
     def max_coefficient(self) -> float:
-        return float(np.abs(self.coefs).max()) if self.coefs.size else 0.0
+        return float(np.abs(self.coefs).max())
 
     def snr(self, delta: float) -> float:
         levels = quantize.quantize_levels(self.coefs, delta)
@@ -204,9 +207,7 @@ def _tune_delta(model: _ErrorModel, target: float):
     ``DELTA_SEARCH_ITERS`` evaluations.  Among tolerable deltas, one
     that keeps SNR at or above the target is preferred.
     """
-    max_c = model.max_coefficient()
-    if max_c == 0.0:
-        return 1.0, model.snr(1.0)
+    max_c = model.max_coefficient()   # > 0: a positive target takes an atom
     tried = []   # (delta, snr) of every evaluation
 
     def measure(delta):

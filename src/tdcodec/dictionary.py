@@ -8,8 +8,8 @@ atom are computed with one zero-padded real FFT instead of an explicit
 atom matrix, which is what makes large-block pursuit affordable.
 Synthesis is the exact adjoint: coefficients go into a rotated
 half-spectrum, and one inverse real FFT per block and channel turns them
-into samples, for any number of blocks in one call.  Both directions
-batch whole blocks, in the chunks ``TrigDictionary.fft_chunks`` sets.
+into samples, for any number of blocks in one call.  Synthesis batches
+whole blocks, as many as ``FFT_CHUNK_BINS`` half-spectrum bins hold.
 """
 
 from __future__ import annotations
@@ -18,14 +18,10 @@ import numpy as np
 
 __all__ = ["AtomTable", "TrigDictionary", "synthesize_block"]
 
-# Half-spectrum bins per batched FFT call (256 KB of complex spectrum), so
-# memory stays bounded whatever the block count, channel count and
-# dictionary size.  Larger batches gain little (synthesis of a 30 s
-# stereo clip: 63 ms at 2^14 bins, 59 ms at 2^18) but cost memory: with
-# 2^16-bin batches of initial panels, the freed temporaries raise glibc's
-# dynamic mmap threshold, the encoder's later arrays then stay in the
-# heap, and the peak RSS of encoding and decoding that clip in one
-# process rose from 305 to 365 MB.
+# Half-spectrum bins per batched inverse FFT call of synthesis (256 KB of
+# complex spectrum), so memory stays bounded whatever the block count,
+# channel count and dictionary size.  Larger batches gain little
+# (synthesis of a 30 s stereo clip: 63 ms at 2^14 bins, 59 ms at 2^18).
 FFT_CHUNK_BINS = 1 << 14
 
 
@@ -109,12 +105,6 @@ class TrigDictionary:
         w2[-1] = v @ v
         return np.sqrt(w2)
 
-    def fft_chunks(self, blocks: int, channels: int) -> list[tuple[int, int]]:
-        """``(start, stop)`` of each run of whole blocks that one batched FFT call
-        takes: as many as ``FFT_CHUNK_BINS`` half-spectrum bins hold, at least one."""
-        step = max(1, FFT_CHUNK_BINS // (channels * (self.half_size + 1)))
-        return [(b, min(b + step, blocks)) for b in range(0, blocks, step)]
-
     @property
     def num_atoms(self) -> int:
         return 2 * self.half_size
@@ -184,7 +174,8 @@ class TrigDictionary:
         real FFT per block and channel gives the samples, of which the first
         ``block_size`` are kept.  Bins 0 and ``M`` count twice because the
         inverse FFT halves them, and atoms that share a bin add up in table
-        order.  Whole blocks go through the FFT in ``fft_chunks``.
+        order.  Whole blocks go through the FFT, as many per call as
+        ``FFT_CHUNK_BINS`` half-spectrum bins hold, at least one.
         """
         m, nb = self.half_size, self.block_size
         idx, counts = table.indices, table.counts
@@ -205,7 +196,9 @@ class TrigDictionary:
         starts = np.concatenate([[0], np.cumsum(counts)])
 
         out = np.empty((q, nb, channels))
-        for b0, b1 in self.fft_chunks(q, channels):
+        step = max(1, FFT_CHUNK_BINS // (channels * (m + 1)))
+        for b0 in range(0, q, step):
+            b1 = min(b0 + step, q)
             rows = slice(starts[b0], starts[b1])
             spec = np.zeros((b1 - b0, channels, m + 1), dtype=complex)
             np.add.at(spec, (block[rows, None] - b0, np.arange(channels), bins[rows, None]),

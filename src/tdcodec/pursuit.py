@@ -27,10 +27,9 @@ solve ``r[:k, :k] c = wf[:k]``.
 Inner products against every dictionary atom are cached per channel as a
 full panel and updated incrementally on each acceptance; panels are
 recomputed from the residual every ``REFRESH_INTERVAL`` acceptances to
-bound drift.  The first panels come from batched FFTs, one call per chunk
-of blocks, bit-identical to one block's own.  Residual and panel are both
-channel-major, so each acceptance updates every channel as one
-contiguous row.
+bound drift.  ``_panel`` computes every panel, a block's first included,
+one FFT per channel.  Residual and panel are both channel-major, so each
+acceptance updates every channel as one contiguous row.
 
 A block's pursuit never reads another block, so its picks form a log of
 gains of its own, and the serial order is the merge of those logs by
@@ -44,7 +43,7 @@ where that comes from is all that differs between its uses:
   of every ``s``-th block (every block when there are no more) is merged
   first under the stop scaled to it; with more blocks, half the gain of
   its last pick is a threshold ``tau``.  Every block then runs alone
-  while its head gain is at least ``tau``, one chunk at a time, and
+  while its head gain is at least ``tau``, one at a time, and
   keeps only a compact record: its atoms, factor, ``wf`` rows, pick log
   and next head gain.  At every stride, a final merge of the records
   replays the serial order under the real stop; past a closed block's
@@ -159,8 +158,9 @@ class PursuitResult:
 def _panel(dico: TrigDictionary, channels: np.ndarray) -> np.ndarray:
     """``(2M, L)`` inner products, column-major so each channel is contiguous.
 
-    One ``all_inner_products`` call per channel: perfbench counts panel
-    refreshes as the channel panels computed under ``accept_candidate``.
+    The one routine that computes a block's panel, at its start and at
+    each refresh: one ``all_inner_products`` call per channel, so perfbench
+    counts panel rows.
     """
     out = np.empty((dico.num_atoms, channels.shape[1]), order="F")
     for j in range(channels.shape[1]):
@@ -362,20 +362,12 @@ def worker_count(threads: int, block_count: int) -> int:
 
 
 def _init_states(blocks, dico, criterion):
-    """Initial states of ``blocks``, in order, their panels from batched FFTs.
+    """Initial states of ``blocks``, in order, each panel from ``_panel``.
 
-    Blocks go in ``dico.fft_chunks``; each chunk's panels come from one
-    ``all_inner_products`` call on the stacked channels, and every state
-    gets a column-major ``(2M, L)`` view of its own.  A generator: the
-    next chunk's panels are computed only when its first state is asked for.
+    A generator: a block's panel is computed only when its state is asked for.
     """
-    if not blocks:
-        return
-    for start, stop in dico.fft_chunks(len(blocks), blocks[0].shape[1]):
-        chunk = blocks[start:stop]
-        panels = dico.all_inner_products(np.stack(chunk).transpose(0, 2, 1))
-        for b, p in zip(chunk, panels):
-            yield init_block_state(b, dico, criterion, res_ip=p.T)
+    for b in blocks:
+        yield init_block_state(b, dico, criterion, res_ip=_panel(dico, b))
 
 
 def _energy(state: BlockState) -> float:
@@ -567,8 +559,8 @@ def _advance(record: _Record, dico, tau: float) -> _Record:
 def _run_ahead(records, blocks, dico, criterion, tau: float) -> list[_Record]:
     """``records``, then records of ``blocks``, each block pursued alone to ``tau``.
 
-    ``blocks`` start one chunk of panels at a time, after ``records`` are
-    closed, so no more than the larger of the two is ever alive.
+    ``blocks`` start after ``records`` are closed, one at a time, and each
+    closes before the next starts.
     """
     closed = [_advance(rec, dico, tau) for rec in records]
     states = _init_states(blocks, dico, criterion)
@@ -597,8 +589,8 @@ def _shard_worker(index, pipes, shard, rest, dico, criterion):
     stepped, by their index in the shard (every block's, the first time).
     When the merge stops, it sends the threshold ``tau``, which the worker
     reads before its next round; it runs the shard's blocks, then
-    ``rest``'s, ahead to it and sends their records.  A failure sends its
-    traceback in their place.
+    ``rest``'s, ahead to it and sends their records.  A failure sends, in
+    their place, whether it was a ``MemoryError`` and its traceback.
     """
     conn = pipes[index][1]
     for pair in pipes:
@@ -625,22 +617,29 @@ def _shard_worker(index, pipes, shard, rest, dico, criterion):
                 message = conn.recv()
                 credit += 1
         conn.send(("results", _run_ahead(records, rest, dico, criterion, message)))
-    except Exception:
+    except Exception as exc:
         import traceback   # a failing worker only: keeps the package import light
 
-        conn.send(("failed", traceback.format_exc()))
+        conn.send(("failed", isinstance(exc, MemoryError), traceback.format_exc()))
     finally:
         conn.close()
 
 
 def _receive(conn):
-    """A worker's next message; raises if the worker failed or is gone."""
+    """A worker's next message; raises if the worker failed or is gone.
+
+    A worker that ran out of memory raises ``MemoryError`` here, as the
+    pursuit in process would; any other failure ``RuntimeError``.
+    """
     try:
         message = conn.recv()
     except (EOFError, ConnectionError):
         raise RuntimeError("a pursuit worker exited without its results") from None
     if message[0] == "failed":
-        raise RuntimeError(f"a pursuit worker failed:\n{message[1]}")
+        _, out_of_memory, trace = message
+        if out_of_memory:
+            raise MemoryError(f"a pursuit worker ran out of memory:\n{trace}")
+        raise RuntimeError(f"a pursuit worker failed:\n{trace}")
     return message
 
 
@@ -720,7 +719,7 @@ def _pursue_blocks(blocks, dico, criterion, stop, threads) -> PursuitResult:
     is merged live under the stop scaled to it.  If it leaves blocks out,
     the gain of its last pick sets ``tau`` at half of it; every block is
     pursued alone while its head gain is at least ``tau`` (the pilot's
-    from where they stand, the others a chunk at a time), and keeps only
+    from where they stand, the others one at a time), and keeps only
     a ``_Record``.  A final ``_Merge`` of the records, the one source of
     the atom counts, the saturation flag and the stop's SNR trace, then
     replays the serial order under ``stop``.  If it needs a pick past a

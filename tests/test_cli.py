@@ -269,10 +269,13 @@ def test_main_usage_errors_exit_2(tmp_path, wav_in, monkeypatch):
     assert main(["encode", "--in", str(wav_in), "--out", str(out),
                  "--snr", "30", "--overshoot", "3"]) == 2
     assert main(["bogus"]) == 2
-    # non-finite settings are refused before the WAV is read
+    # settings out of range, non-finite ones and targets at or below the 0 dB
+    # that a decode of silence reaches are refused before the WAV is read
     monkeypatch.setattr("tdcodec.container.read_wav", _not_read)
     for flags in (["--atoms", "500", "--delta", "inf"], ["--atoms", "500", "--delta", "nan"],
-                  ["--snr", "nan"], ["--snr", "inf"]):
+                  ["--snr", "nan"], ["--snr", "inf"], ["--snr", "0"], ["--snr", "-5"],
+                  ["--atoms", "-1"], ["--atoms", "5", "--redundancy", "1"],
+                  ["--atoms", "5", "--threads", "0"]):
         assert main(["encode", "--in", str(wav_in), "--out", str(out), *flags]) == 2
 
 

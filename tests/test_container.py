@@ -1,6 +1,7 @@
 import math
 import struct
 import time
+import types
 import warnings
 import zlib
 
@@ -188,8 +189,16 @@ def test_extensible_wav_reads_like_the_plain_one(tmp_path, rng, bits, tag, guid,
     _wav_bytes(2, 16, bytes(8), extensible=(22, b"\x02" + _PCM_GUID[1:])),
     _wav_bytes(2, 16, bytes(8), align=2),                       # bits vs align
     _wav_bytes(1, 24, bytes(12), align=4, extensible=(22, _PCM_GUID)),
+    _wav_bytes(2, 16, bytes(8))[:-4],                           # data past the file
+    b"RIFF" + struct.pack("<I", 26) + b"WAVE" + b"fmt " + struct.pack("<I", 14)
+    + bytes(14),
+    _wav_bytes(2, 16, b"")[:-8],                                # no data chunk
+    _wav_bytes(0, 16, bytes(8)),
+    _wav_bytes(2, 16, bytes(8), tag=0xFFFE),                    # no extension
+    _wav_bytes(2, 16, bytes(6)),                                # 1.5 frames
 ], ids=["cbsize-0", "cbsize-21", "cbsize-past-chunk", "guid", "adpcm",
-        "align-16bit", "align-24bit"])
+        "align-16bit", "align-24bit", "truncated-chunk", "fmt-14-bytes", "no-data",
+        "channels-0", "extensible-16-bytes", "partial-frame"])
 def test_malformed_wav_fmt_is_refused_with_exit_3(tmp_path, wav):
     path = tmp_path / "bad.wav"
     path.write_bytes(wav)
@@ -601,6 +610,30 @@ def test_version_2_file_exits_3(tmp_path, rng, capsys):
         read_tdc(bad)
     assert _decode_exit_code(tmp_path, bad) == 3
     assert "unsupported version 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", [0.0, math.nan, math.inf])
+def test_a_header_delta_that_is_not_positive_and_finite_exits_3(tmp_path, rng, delta):
+    # a mutated header fails its checksum first: these are resealed
+    blob = bytearray(write_tdc(make_qset(rng), sample_rate=8000, original_length=33,
+                               block_size=16, half_size=32))
+    struct.pack_into("<d", blob, 40, delta)
+    bad = _reseal(blob)
+    with pytest.raises(FormatError, match="not a positive finite float"):
+        read_tdc(bad)
+    assert _decode_exit_code(tmp_path, bad) == 3
+
+
+def test_an_index_stream_without_its_block_separators_exits_3(tmp_path, rng):
+    # 3 atoms and no separator claimed as 2 blocks: every symbol count
+    # agrees, K + Q - 1 = 4, and the writer seals it
+    unsplit = types.SimpleNamespace(delta=0.125, index_stream=np.array([3, 2, 7, 4]),
+                                    levels=np.array([[1], [-2], [3]]), block_count=2)
+    blob = write_tdc(unsplit, sample_rate=8000, original_length=20, block_size=16,
+                     half_size=32)
+    with pytest.raises(FormatError, match="0 separators, expected 1"):
+        read_tdc(blob)
+    assert _decode_exit_code(tmp_path, blob) == 3
 
 
 @pytest.mark.parametrize(

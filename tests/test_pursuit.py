@@ -382,10 +382,10 @@ def test_pursuit_is_deterministic_across_threads(rng):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_batched_initial_panels_match_one_block_states(rng, monkeypatch, workers,
                                                        chunk_bins, criterion):
-    # each worker takes blocks w, w + P, ... and computes their initial
-    # panels from chunked batch FFTs; every panel must equal, bit for bit,
-    # the one a block computes on its own, so the first candidates and
-    # gains (and every selection after them) match
+    # each worker takes blocks w, w + P, ... and starts them through
+    # _init_states; every panel must equal, bit for bit, the one a block
+    # computes on its own, whatever the FFT chunk of synthesis, so the first
+    # candidates and gains (and every selection after them) match
     monkeypatch.setattr(dictionary, "FFT_CHUNK_BINS", chunk_bins)
     d = TrigDictionary(16, 32)
     blocks = random_blocks(rng, 9, 16, 3)
@@ -404,6 +404,30 @@ def test_batched_initial_panels_match_one_block_states(rng, monkeypatch, workers
             assert st.saturated == (b is blocks[4])
             if st.saturated:
                 assert (st.candidate, st.gain) == (None, -np.inf)
+
+
+@pytest.mark.parametrize("live", [None, 4])
+def test_every_panel_is_computed_one_row_at_a_time(rng, monkeypatch, live):
+    # _panel is the one routine that computes a block's panel, a channel at
+    # a time, at a block's start and at each refresh (every 4th atom here),
+    # with every block live and when blocks run ahead past LIVE_BLOCKS
+    if live is not None:
+        monkeypatch.setattr(pursuit, "LIVE_BLOCKS", live)
+    monkeypatch.setattr(pursuit, "REFRESH_INTERVAL", 4)
+    shapes = []
+    products = TrigDictionary.all_inner_products
+
+    def noting(self, y):
+        shapes.append(np.shape(y))
+        return products(self, y)
+
+    monkeypatch.setattr(TrigDictionary, "all_inner_products", noting)
+    d = TrigDictionary(16, 32)
+    blocks = random_blocks(rng, 9, 16, 3)
+    assert hbw_pursuit(blocks, d, 60).atom_count == 60
+    assert pursuit_to_snr(blocks, d, 25.0).snr_db >= 25.0
+    assert len(shapes) > 2 * 9 * 3
+    assert set(shapes) == {(16,)}
 
 
 def test_panel_refresh_keeps_long_runs_healthy(rng):
@@ -1152,7 +1176,7 @@ def test_a_capped_pursuit_equals_the_all_live_one(rng, monkeypatch, case, mode):
 
 def test_pursuit_memory_does_not_grow_with_the_block_count(rng, monkeypatch):
     # past LIVE_BLOCKS only the pilot keeps its panels while it runs; the
-    # other blocks are pursued a chunk at a time and keep compact records
+    # other blocks are pursued one at a time and keep compact records
     import tracemalloc
 
     monkeypatch.setattr(pursuit, "LIVE_BLOCKS", 32)
@@ -1249,6 +1273,36 @@ def test_a_failing_worker_fails_the_encode_and_leaves_no_process(tmp_path, rng,
         cmd_encode(cfg, out=io.StringIO())
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "out.tdc").exists()
+
+
+def test_a_worker_out_of_memory_exits_3_and_leaves_no_process(tmp_path, rng, monkeypatch,
+                                                              capfd):
+    # the exit-3 path of a MemoryError covers the pursuit's forked workers
+    import multiprocessing
+
+    from tdcodec import MultichannelSignal, write_wav
+    from tdcodec.cli import main
+
+    _one_worker_per_thread(monkeypatch)
+    parent, init_states = os.getpid(), pursuit._init_states
+
+    def init_in_parent_only(*args):
+        if os.getpid() != parent:
+            raise MemoryError
+        return init_states(*args)
+
+    monkeypatch.setattr(pursuit, "_init_states", init_in_parent_only)
+    wav, out = tmp_path / "in.wav", tmp_path / "out.tdc"
+    write_wav(wav, MultichannelSignal(0.3 * rng.normal(size=(8000, 2)), 8000))
+    with _deadline(60):
+        code = main(["encode", "--in", str(wav), "--out", str(out), "--atoms", "50",
+                     "--block", "256", "--threads", "2"])
+    err = capfd.readouterr().err
+    assert code == 3
+    assert "error: not enough memory to encode" in err
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
 
 
 def test_importing_the_codec_loads_no_process_or_thread_pool():

@@ -26,11 +26,46 @@ def test_demo_runs(demo, tmp_path):
     assert out.returncode == 0, out.stderr
 
 
-@pytest.mark.parametrize("tool", ["tdc_digests.py", "bench_pairs.py"])
+@pytest.mark.parametrize("tool", ["tdc_digests.py", "bench_pairs.py", "untested_lines.py"])
 def test_tool_prints_its_help(tool, tmp_path):
     out = _run([str(ROOT / "tools" / tool), "--help"], tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage:")
+
+
+def _untested(test_id, tmp_path):
+    """``{module: (lines, statements)}`` from untested_lines.py run on
+    ``test_id``: the first lines of the statements it lists, and their count."""
+    out = _run([str(ROOT / "tools" / "untested_lines.py"), "-q", "-p", "no:cacheprovider",
+                test_id], tmp_path)
+    assert out.returncode == 0, out.stdout + out.stderr
+    found = {}
+    for line in out.stdout.splitlines():
+        if line.startswith("src/tdcodec/"):
+            head, spans = line.split(" untested: ")
+            module, counts = head.split(": ")
+            lines = set()
+            for span in spans.split():
+                first, _, last = span.partition("-")
+                lines.update(range(int(first), int(last or first) + 1))
+            found[module] = lines, int(counts.split(" of ")[1])
+    return found
+
+
+def test_untested_lines_lists_the_modules_a_test_never_runs(tmp_path):
+    # this test imports no codec module, so every statement of metrics.py is
+    # listed, the line of its first def among them; a run of test_metrics.py
+    # lists fewer
+    first_def = next(i for i, text in enumerate(
+        (ROOT / "src" / "tdcodec" / "metrics.py").read_text().splitlines(), 1)
+        if text.startswith("def "))
+    never = _untested(f"{ROOT / 'tests' / 'test_scripts.py'}::test_the_demos_are_found",
+                      tmp_path)
+    lines, total = never["src/tdcodec/metrics.py"]
+    assert len(lines) == total > 0
+    assert first_def in lines
+    ran = _untested(str(ROOT / "tests" / "test_metrics.py"), tmp_path)
+    assert len(ran.get("src/tdcodec/metrics.py", ((), total))[0]) < total
 
 
 def test_the_demos_are_found():

@@ -21,46 +21,49 @@ The codec is two calls: ``encode(signal, EncodeConfig(...))`` returns a
 its submodules and ``__version__``; the steps of the chain (``partition``,
 ``serialize_decompositions``, ``write_tdc`` and the rest), the pursuit's
 block-level steps and the entropy coder are imported from their modules.
+
+A module is imported the first time one of its names is used (PEP 562):
+``import tdcodec.dictionary`` loads that module alone, and ``tdcodec.encode``
+loads the whole codec.
 """
 
-from .cli import EncodeConfig, decode, encode
-from .container import (
-    BadMagicError,
-    ChecksumError,
-    ContainerError,
-    FormatError,
-    MultichannelSignal,
-    UnsupportedVersionError,
-    read_wav,
-    write_wav,
-)
-from .dictionary import AtomTable, TrigDictionary
-from .entropy import EntropyDecodeError
-from .metrics import SNR_CAP_DB, QualityReport, snr
-from .pursuit import PursuitResult, SelectionCriterion, hbw_pursuit, pursuit_to_snr
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomTable",
-    "BadMagicError",
-    "ChecksumError",
-    "ContainerError",
-    "EncodeConfig",
-    "EntropyDecodeError",
-    "FormatError",
-    "MultichannelSignal",
-    "PursuitResult",
-    "QualityReport",
-    "SelectionCriterion",
-    "SNR_CAP_DB",
-    "TrigDictionary",
-    "UnsupportedVersionError",
-    "decode",
-    "encode",
-    "hbw_pursuit",
-    "pursuit_to_snr",
-    "read_wav",
-    "snr",
-    "write_wav",
-]
+# each submodule and the names of __all__ that it exports
+_EXPORTS = {
+    "cli": ("EncodeConfig", "decode", "encode"),
+    "container": (
+        "BadMagicError",
+        "ChecksumError",
+        "ContainerError",
+        "FormatError",
+        "MultichannelSignal",
+        "UnsupportedVersionError",
+        "read_wav",
+        "write_wav",
+    ),
+    "dictionary": ("AtomTable", "TrigDictionary"),
+    "entropy": ("EntropyDecodeError",),
+    "metrics": ("SNR_CAP_DB", "QualityReport", "snr"),
+    "pursuit": ("PursuitResult", "SelectionCriterion", "hbw_pursuit", "pursuit_to_snr"),
+    "quantize": (),
+}
+_OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNERS)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")   # binds the package attribute
+    if name in _OWNERS:
+        value = getattr(_import_module(f"{__name__}.{_OWNERS[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_OWNERS})

@@ -196,7 +196,9 @@ def _tune_delta(model: _ErrorModel, target: float):
 
     The bracket's bottom starts at ``1e-6``; while the SNR there misses
     the target, it drops tenfold, as long as the levels still fit an
-    int64.  Decoded SNR is nonincreasing in delta, so the bracket
+    int64.  Its top is ``max |c|``, or ``4 max |c|`` (every level 0, a
+    decode at 0 dB) where the SNR falls from the bottom to a top still
+    above the target.  Decoded SNR is nonincreasing in delta, so the bracket
     endpoints keep the target between them; if quantization granularity
     ever breaks that ordering the search falls back to golden-section
     over the bracket.  It does on ``tests/test_cli.py``'s ``wav_in`` clip
@@ -222,6 +224,14 @@ def _tune_delta(model: _ErrorModel, target: float):
     hi = max(max_c, 2 * lo)
     snr_lo = measure(lo)
     snr_hi = measure(hi)
+    # rounding noise jitters the curve by well under a milli-dB; only a
+    # violation at a meaningful scale abandons bisection
+    slack = SNR_MATCH_TOL_DB / 10
+    if target < snr_hi < snr_lo - slack:
+        # the SNR still falls at max |c| and the target lies past it: at
+        # 4 max |c| every level is 0 and the decode is silence, at 0 dB
+        hi = 4 * max_c
+        snr_hi = measure(hi)
     # quantize_levels refuses a level of 2**63: stop a margin of 2 short of it
     while snr_lo < target - SNR_MATCH_TOL_DB and 10 * max_c / lo < 2.0**62:
         lo /= 10
@@ -230,9 +240,6 @@ def _tune_delta(model: _ErrorModel, target: float):
         raise TargetUnreachableError(
             f"quantization floor {snr_lo:.2f} dB below target {target:.2f} dB"
         )
-    # rounding noise jitters the curve by well under a milli-dB; only a
-    # violation at a meaningful scale abandons bisection
-    slack = SNR_MATCH_TOL_DB / 10
     monotone = snr_lo >= snr_hi - slack
     while monotone and searching():
         mid = math.sqrt(lo * hi)

@@ -208,6 +208,20 @@ def test_a_target_above_the_snr_at_delta_1e_6_is_reached_below_it(tmp_path):
     assert abs(exact - 120.0) <= SNR_MATCH_TOL_DB
 
 
+@pytest.mark.parametrize("target", [0.01, 1e-300])
+def test_a_target_below_the_snr_at_max_coefficient_is_reached_above_it(tmp_path, target):
+    # at delta = max |c| the largest coefficient still quantizes to level 1
+    # and this noise decodes at 0.66 dB; above 2 max |c| every level is 0,
+    # and the decode is silence, at 0 dB
+    samples = 0.3 * np.random.default_rng(1).normal(size=(2000, 2))
+    path, out = tmp_path / "noise.wav", tmp_path / "noise.tdc"
+    write_wav(path, MultichannelSignal(samples, 8000))
+    args = ["encode", "--in", str(path), "--out", str(out), "--block", "256"]
+    assert main(args + ["--snr", str(target)]) == 0
+    decoded = tdcodec.decode(out.read_bytes()).samples
+    assert not decoded.any()
+
+
 def test_info_reports_header_fields(wav_in, tmp_path):
     out, _ = encode(wav_in, tmp_path, budget=30, delta=0.02)
     buf = io.StringIO()

@@ -267,6 +267,11 @@ def test_partition_rejects_empty_signal():
         partition(MultichannelSignal(np.empty((0, 2)), 44100), 64)
 
 
+def test_partition_rejects_blocks_below_two_samples():
+    with pytest.raises(ValueError, match="block_size must be >= 2"):
+        partition(MultichannelSignal(np.ones((8, 2)), 44100), 1)
+
+
 # --- .tdc ------------------------------------------------------------------
 
 def test_tdc_roundtrip_recovers_everything(rng):

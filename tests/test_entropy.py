@@ -86,6 +86,21 @@ def test_truncated_input_reports_offset(rng):
     assert err.value.offset <= len(blob) // 2
 
 
+def test_a_word_stream_cut_short_exhausts_the_input(rng):
+    # symbols below 4 take no bypass bits, so the payload ends in the last
+    # word that the lanes read; without it they run out of input there
+    symbols = rng.integers(0, 4, size=400)
+    blob = arith_encode(SymbolStream(symbols, 4))
+    with pytest.raises(EntropyDecodeError, match="input exhausted") as err:
+        arith_decode(blob[:-2], 400, 4)
+    assert err.value.offset == len(blob) - 2
+
+
+def test_a_negative_length_is_refused():
+    with pytest.raises(ValueError, match="negative length"):
+        arith_decode(b"", -1, 5)
+
+
 def test_corruption_is_detected_or_changes_output(rng):
     # a flipped bypass bit changes a value without breaking the layout; the
     # container CRC is the authoritative guard, so the output need only differ

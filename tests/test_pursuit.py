@@ -265,6 +265,13 @@ def test_a_pursuit_of_no_blocks_is_refused():
         pursuit_to_snr([], d, 20.0)
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_a_target_snr_that_is_not_finite_is_refused(rng, target):
+    blocks = random_blocks(rng, 2, 8, 2)
+    with pytest.raises(ValueError, match="target SNR must be finite"):
+        pursuit_to_snr(blocks, TrigDictionary(8, 16), target)
+
+
 def _assert_no_atoms(res, blocks):
     """``res`` holds no atom, unsaturated, and each block's energy as its residual's."""
     channels = blocks[0].shape[1]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tdcodec import AtomTable
 from tdcodec.quantize import (
     QuantizedBlockSet,
     StreamError,
@@ -116,6 +117,11 @@ def test_each_refusal_names_the_lowest_block_at_fault():
     for blocks, message in cases:
         with pytest.raises(ValueError, match=message):
             serialize(blocks, 1.0)
+
+
+def test_a_table_of_no_blocks_is_refused():
+    with pytest.raises(ValueError, match="at least one block"):
+        serialize_decompositions(AtomTable([], [], np.zeros((0, 2))), 1.0)
 
 
 def test_parse_rebuilds_indices_by_cumulative_sum():

@@ -26,11 +26,23 @@ def test_demo_runs(demo, tmp_path):
     assert out.returncode == 0, out.stderr
 
 
-@pytest.mark.parametrize("tool", ["tdc_digests.py", "bench_pairs.py", "untested_lines.py"])
+@pytest.mark.parametrize("tool", ["tdc_digests.py", "bench_pairs.py", "untested_lines.py",
+                                  "import_cost.py"])
 def test_tool_prints_its_help(tool, tmp_path):
     out = _run([str(ROOT / "tools" / tool), "--help"], tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage:")
+
+
+def test_import_cost_times_each_entry_point_and_lists_its_modules(tmp_path):
+    out = _run([str(ROOT / "tools" / "import_cost.py"), "-n", "1"], tmp_path)
+    assert out.returncode == 0, out.stderr
+    lines = dict(line.split(": ", 1) for line in out.stdout.splitlines())
+    assert list(lines) == ["tdcodec", "tdcodec.dictionary", "tdcodec.cli"]
+    assert all(" s median of 1; loads tdcodec" in line for line in lines.values())
+    assert lines["tdcodec"].endswith("; loads tdcodec")
+    assert lines["tdcodec.dictionary"].endswith("; loads tdcodec tdcodec.dictionary")
+    assert "tdcodec.pursuit" in lines["tdcodec.cli"]
 
 
 def _untested(test_id, tmp_path):

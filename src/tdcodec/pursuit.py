@@ -20,9 +20,10 @@ Rozloznik and van den Eshof, Numer. Math. 2005, show that two passes
 then suffice).  The orthonormal vectors are the rows of ``w`` and
 the triangular factor ``r[i, k] = <w_i, d_k>`` of the selected atoms
 ``d_k`` sits beside it, both in arrays that double in capacity as atoms
-arrive.  Each accepted row's products with the block, ``wf[i] = <w_i, f>``,
-are kept as it arrives; the coefficients of any prefix of ``k`` atoms
-solve ``r[:k, :k] c = wf[:k]``.
+arrive.  Each kept row's ``wf[i] = <w_i, f>`` is its step's product with
+the residual, equal as ``f`` less that residual lies in the earlier rows'
+span; the coefficients of any prefix of ``k`` atoms solve
+``r[:k, :k] c = wf[:k]``.
 
 Inner products against every dictionary atom are cached per channel as a
 full panel and updated incrementally on each acceptance; panels are
@@ -114,7 +115,6 @@ class SelectionCriterion(Enum):
 class BlockState:
     """Mutable pursuit state of a single block."""
 
-    block: np.ndarray                 # (N_b, L) original samples
     residual: np.ndarray              # (N_b, L), channel-major (Fortran order)
     res_ip: np.ndarray                # (2M, L) atom/residual inner products
     s_sums: np.ndarray                # (2M,) S_n; exactly 1.0 once n is kept or rejected
@@ -122,15 +122,15 @@ class BlockState:
     selected: list[int] = field(default_factory=list)
     w: np.ndarray = None              # (capacity, N_b), rows :k orthonormal
     r: np.ndarray = None              # (capacity, capacity), r[i, k] = <w_i, d_k>
-    wf: np.ndarray = None             # (capacity, L), wf[i] = <w_i, block>
+    wf: np.ndarray = None             # (capacity, L), wf[i] = <w_i, block>, its step's alpha
     candidate: int | None = None      # 1-based atom index of the next pick; None: saturated
     gain: float = -np.inf             # candidate's gain; -inf once saturated
 
     def __post_init__(self):
         if self.w is None:
-            self.w = np.empty((0, self.block.shape[0]))
+            self.w = np.empty((0, self.residual.shape[0]))
             self.r = np.zeros((0, 0))
-            self.wf = np.empty((0, self.block.shape[1]))
+            self.wf = np.empty((0, self.residual.shape[1]))
 
     @property
     def atom_count(self) -> int:
@@ -199,7 +199,6 @@ def init_block_state(
         block = _check_block(block, dico)
         res_ip = _panel(dico, block)
     state = BlockState(
-        block=block,
         # a copy always: np.asfortranarray would alias a mono block
         residual=np.array(block, order="F"),
         res_ip=res_ip,
@@ -312,9 +311,6 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
     np.divide(w, norm, out=w_unit)
     state.r[:k, k] = proj
     state.r[k, k] = norm
-    # one row at a time: a prefix of ``w @ block`` need not have the bits of
-    # the rows multiplied alone, and truncation must reproduce these
-    state.wf[k] = w_unit @ state.block
     state.selected.append(n)
 
     panel = dico.all_inner_products(w_unit)
@@ -322,6 +318,7 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
     # contiguous row per channel, so each update is one pass over them
     by_channel = state.residual.T
     alpha = by_channel @ w_unit                # == <w, f_j>, w orthogonal to span
+    state.wf[k] = alpha
     by_channel -= alpha[:, None] * w_unit
     by_channel = state.res_ip.T
     by_channel -= alpha[:, None] * panel
@@ -337,9 +334,10 @@ def accept_candidate(state: BlockState, dico: TrigDictionary) -> bool:
 def compute_coefficients(state: BlockState, atoms: int | None = None) -> np.ndarray:
     """Coefficients of the block's first ``atoms`` atoms (default all): ``r c = w f``.
 
-    A prefix needs nothing more: the first rows of ``r`` and ``wf`` do not
-    change as later atoms arrive.  ``state`` may also be a block's closed
-    pursuit record, which keeps ``selected``, ``r`` and ``wf``.
+    A prefix needs nothing more: the first rows of ``r`` and ``wf``, each
+    ``wf`` row its step's product with the residual, do not change as later
+    atoms arrive.  ``state`` may also be a block's closed pursuit record,
+    which keeps ``selected``, ``r`` and ``wf``.
     """
     k = len(state.selected) if atoms is None else atoms
     if not k:
@@ -585,8 +583,9 @@ def _shard_worker(index, pipes, shard, rest, dico, criterion):
 
     A round is a run of the shard's own merge to ``ROUND`` more accepted
     atoms; the worker makes two unasked and one more for each ``True``
-    from the merge, and after each round sends the ``news`` of the blocks
-    stepped, by their index in the shard (every block's, the first time).
+    from the merge, and after each round sends the ``news`` of every block
+    whose log grew, by its index in the shard (every block's, the first
+    time, as a log starts with the block's energy before any atom).
     When the merge stops, it sends the threshold ``tau``, which the worker
     reads before its next round; it runs the shard's blocks, then
     ``rest``'s, ahead to it and sends their records.  A failure sends, in
@@ -599,19 +598,13 @@ def _shard_worker(index, pipes, shard, rest, dico, criterion):
                 end.close()
     try:
         records = [_Record(st) for st in _init_states(shard, dico, criterion)]
-        picked = set(range(len(records)))   # blocks whose log the merge lacks
-
-        def step(q):
-            records[q].step(dico)
-            picked.add(q)
-
-        merge = _Merge(records, step)
+        merge = _Merge(records, lambda q: records[q].step(dico))
         credit, message = 2, True   # rounds to make before the merge asks again
         while message is True:
             if credit and not conn.poll():
                 merge.run(_Budget(ROUND))
-                conn.send(("logs", [(i, records[i].news()) for i in picked]))
-                picked.clear()
+                news = enumerate(rec.news() for rec in records)
+                conn.send(("logs", [(i, n) for i, n in news if n[0] or n[2]]))   # gains, energies
                 credit -= 1
             else:   # read ahead, so that the threshold ends the rounds at once
                 message = conn.recv()

@@ -46,7 +46,6 @@ def _fabricated_state(dico, ip_rows, criterion=OOMP):
     for n, row in ip_rows.items():
         res_ip[n - 1] = row
     return BlockState(
-        block=np.zeros((dico.block_size, 2)),
         residual=np.zeros((dico.block_size, 2)),
         res_ip=res_ip,
         s_sums=np.zeros(n_atoms),
@@ -955,6 +954,68 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+@contextlib.contextmanager
+def _worker_thread(shard, rest, dico):
+    """``_shard_worker`` run in a thread, so that its lines are traced; yields
+    the parent end of its pipe."""
+    import multiprocessing
+    import threading
+
+    parent, child = multiprocessing.Pipe()
+    spare, other = multiprocessing.Pipe()   # the worker closes every end but its own
+    worker = threading.Thread(target=pursuit._shard_worker,
+                              args=(0, [(spare, child)], shard, rest, dico, OOMP))
+    worker.start()
+    try:
+        with _deadline(60):
+            yield parent
+    finally:
+        parent.close()
+        other.close()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+
+
+def test_a_worker_sends_each_log_once_and_its_records_at_the_threshold(rng, monkeypatch):
+    monkeypatch.setattr(pursuit, "ROUND", 1)   # one accepted atom a round: one block steps
+    d = TrigDictionary(16, 32)
+    shard = random_blocks(rng, 3, 16, 2) + [np.zeros((16, 2))]
+    rest = random_blocks(rng, 1, 16, 2)
+    with _worker_thread(shard, rest, d) as conn:
+        messages = [pursuit._receive(conn), pursuit._receive(conn)]   # made unasked
+        conn.send(True)
+        messages.append(pursuit._receive(conn))
+        conn.send(np.inf)   # a threshold no head reaches: the records close as they stand
+        kind, records = pursuit._receive(conn)
+    assert [kind for kind, _ in messages] == ["logs"] * 3
+    first, *later = [news for _, news in messages]
+    assert sorted(i for i, _ in first) == list(range(len(shard)))   # the silent block too
+    for news in later:
+        assert 0 < len(news) < len(shard)
+        assert all(gains for _, (gains, *_) in news)   # only blocks whose log grew
+    logs = [pursuit._Record() for _ in shard]
+    for news in first, *later:
+        for i, entry in news:
+            logs[i].add(*entry)
+    assert sum(sum(log.accepted) for log in logs) == 3
+    assert kind == "results" and len(records) == len(shard) + len(rest)
+    assert all(rec.state is None for rec in records)
+    for log, rec in zip(logs, records):
+        assert (log.gains, log.accepted, log.energies, log.head) == (
+            rec.gains, rec.accepted, rec.energies, rec.head)
+    assert records[-1].gains == [] and records[-1].energies == [np.sum(rest[0] ** 2)]
+
+
+def test_a_worker_out_of_memory_raises_memory_error_in_the_parent(rng, monkeypatch):
+    def exhausted(blocks, dico, criterion):
+        raise MemoryError
+
+    monkeypatch.setattr(pursuit, "_init_states", exhausted)
+    with _worker_thread(random_blocks(rng, 2, 16, 2), [], TrigDictionary(16, 32)) as conn:
+        with pytest.raises(MemoryError, match="ran out of memory"):
+            pursuit._receive(conn)
+
+
 def _one_worker_per_thread(monkeypatch):
     # the replay is compared at more workers than the machine may have cores
     monkeypatch.setattr(
@@ -1115,7 +1176,7 @@ def _capped_case(case, rng):
         # stop scaled to them
         blocks[0] *= 1e-3
         blocks[4] *= 1e-3
-        rule = lambda st, n: np.abs(st.block).max() < 0.1 and st.selected   # noqa: E731
+        rule = lambda st, n: np.abs(st.residual).max() < 0.1 and st.selected   # noqa: E731
     return TrigDictionary(16, 32), blocks, rule, 30, 15.0
 
 

@@ -1,5 +1,6 @@
 """The demos and the tools run: each script exits 0 in a fresh directory.
-The benchmark's scripts read the codec as it is."""
+``python -m tdcodec.cli`` runs the CLI.  The benchmark's scripts read the
+codec as it is."""
 
 import io
 import json
@@ -24,6 +25,14 @@ def _run(args, cwd):
 def test_demo_runs(demo, tmp_path):
     out = _run([str(demo)], tmp_path)
     assert out.returncode == 0, out.stderr
+
+
+def test_the_cli_module_runs_as_a_script(tmp_path):
+    out = _run(["-m", "tdcodec.cli", "--help"], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: tdcodec")
+    out = _run(["-m", "tdcodec.cli", "info", "missing.tdc"], tmp_path)
+    assert out.returncode == 3, out.stderr
 
 
 @pytest.mark.parametrize("tool", ["tdc_digests.py", "bench_pairs.py", "untested_lines.py",

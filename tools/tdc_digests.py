@@ -3,7 +3,11 @@
 Usage:
     python3 tools/tdc_digests.py [--root CHECKOUT]
 
-Each line is ``label sha256 bytes atoms wav_sha256``: the last field
+Each line is ``label sha256 bytes atoms streams_sha256 delta wav_sha256``.
+``streams_sha256`` hashes the streams that ``read_tdc`` returns, the
+index stream and then the levels as little-endian int64 bytes, and
+``delta`` is the quantization step in ``float.hex``, so a file that moved
+only by a delta changed in its last bits shows as such.  The last field
 hashes the WAV that ``tdcodec decode`` writes from the file, so one
 ``diff`` checks the writer and the reader.  The files are:
 
@@ -88,12 +92,15 @@ def main(argv=None) -> int:
                                    redundancy=run.REDUNDANCY, **settings)
             cli.cmd_encode(cfg, out=io.StringIO())
             blob = tdc.read_bytes()
-            header, _ = container.read_tdc(blob)
+            header, qset = container.read_tdc(blob)
             cli.cmd_decode(str(tdc), str(out))
             digest = hashlib.sha256(blob).hexdigest()
+            streams = hashlib.sha256(b"".join(
+                np.asarray(a, dtype="<i8").tobytes() for a in (qset.index_stream, qset.levels)
+            )).hexdigest()
             decoded = hashlib.sha256(out.read_bytes()).hexdigest()
-            print(f"{label:30s} {digest} {len(blob):8d} {header.total_atoms:7d} {decoded}",
-                  flush=True)
+            print(f"{label:30s} {digest} {len(blob):8d} {header.total_atoms:7d} {streams} "
+                  f"{float.hex(qset.delta)} {decoded}", flush=True)
     return 0
 
 

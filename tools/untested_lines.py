@@ -11,9 +11,11 @@ statements that emit no line event (``nonlocal``, ``global``), and one
 line per module lists the first lines of the statements that never ran.
 The exit code is pytest's.
 
-Only this process is traced.  Lines that run only in forked pursuit
-workers (``--threads > 1``) or in subprocesses, such as the demos, are
-listed as well, because their hits are not collected.  Tracing slows the
+Only this process and its threads are traced.  Lines that run only in
+subprocesses, such as the demos, are listed as well, because their hits
+are not collected; the pursuit worker's protocol is not among them, as
+tests run ``_shard_worker`` in a thread besides the forked workers of
+``--threads > 1``.  Tracing slows the
 codec's Python code several times over.
 """
 
